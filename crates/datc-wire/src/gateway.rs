@@ -1,12 +1,16 @@
 //! The multi-session telemetry gateway: a TCP loopback ingest point
 //! multiplexing many concurrent sensor sessions.
 //!
-//! Architecture: one acceptor thread owns the listener; every accepted
-//! connection gets a worker thread running a [`SessionRx`] pipeline
-//! (decode → demux → online reconstruct) over the socket's byte stream;
-//! finished sessions land in a shared [`SessionTable`] the owner
-//! inspects with [`TelemetryHub::snapshot`]. The same table (and the
-//! same conn-id space) can be shared with a
+//! Architecture: one acceptor thread owns the listener and blocks in
+//! `accept`, so it wakes only when a connection arrives — no poll tick
+//! delays a session. Every accepted connection gets a worker thread
+//! running a [`SessionRx`] pipeline (decode → demux → online
+//! reconstruct) over the socket's byte stream; finished sessions land
+//! in a shared [`SessionTable`] the owner inspects with
+//! [`TelemetryHub::snapshot`]. Shutdown wakes the blocked acceptor with
+//! one connection of its own, which is dropped unserved; a small
+//! sweeper thread retires parked sessions whose resume window expired.
+//! The same table (and the same conn-id space) can be shared with a
 //! [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub), so one operator
 //! view covers both transports. The transmit side is [`SessionSender`]
 //! (one session per connection) plus the [`stream_fleet`] convenience
@@ -60,9 +64,9 @@ use datc_obs::{Counter, Gauge, Registry};
 use datc_uwb::aer::AddressedEvent;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -106,8 +110,12 @@ const RESUME_HANDOFF: Duration = Duration::from_secs(2);
 /// resume candidate).
 const PREFRAME_CAP: usize = 8192;
 
-/// How often the acceptor sweeps expired parked sessions.
+/// How often the sweeper retires expired parked sessions.
 const SWEEP_EVERY: Duration = Duration::from_millis(50);
+
+/// Per-attempt bound on the connection that wakes the acceptor for
+/// shutdown (a full backlog can hold a loopback connect for seconds).
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Gateway tuning.
 ///
@@ -451,6 +459,21 @@ impl SessionTable {
         all.sort_by_key(|s| s.session_id);
         all
     }
+
+    /// The final table a hub returns from `shutdown`, sorted by session
+    /// id. A table only this hub references is moved out (each session
+    /// keeps its whole force tail, so a clone would copy every one); a
+    /// table shared with another hub or a caller is cloned, as
+    /// [`snapshot`](SessionTable::snapshot) does.
+    pub(crate) fn into_sessions(table: &mut Arc<SessionTable>) -> Vec<HubSession> {
+        let Some(owned) = Arc::get_mut(table) else {
+            return table.snapshot();
+        };
+        let sessions = owned.sessions.get_mut().expect("session table poisoned");
+        let mut all: Vec<HubSession> = sessions.drain().map(|(_, s)| s).collect();
+        all.sort_by_key(|s| s.session_id);
+        all
+    }
 }
 
 /// Builds one [`SessionSink`] per accepted session; the argument is the
@@ -487,8 +510,31 @@ pub type SinkFactory = Arc<dyn Fn(u64) -> Box<dyn SessionSink> + Send + Sync>;
 pub struct TelemetryHub {
     addr: SocketAddr,
     table: Arc<SessionTable>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     acceptor: Option<JoinHandle<()>>,
+}
+
+/// How a hub stops its acceptor, which blocks in `accept` and so can
+/// only be woken by a connection: the stop flag, and the local address
+/// of the hub's own wake connection so the acceptor can tell it from a
+/// real sensor and drop it unserved.
+#[derive(Debug, Default)]
+struct StopSignal {
+    requested: AtomicBool,
+    wake_from: Mutex<Option<SocketAddr>>,
+}
+
+impl StopSignal {
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// `true` for the hub's own wake connection. Blocks while the hub
+    /// is mid-connect (it holds the lock until the address is
+    /// recorded), so the wake connection cannot slip past unrecognized.
+    fn is_wake(&self, peer: SocketAddr) -> bool {
+        *self.wake_from.lock().expect("stop signal poisoned") == Some(peer)
+    }
 }
 
 impl TelemetryHub {
@@ -518,7 +564,7 @@ impl TelemetryHub {
         validate_config(&config)?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::default());
         let acceptor = {
             let table = Arc::clone(&table);
             let stop = Arc::clone(&stop);
@@ -571,22 +617,48 @@ impl TelemetryHub {
     /// Stops accepting, waits for every in-flight session to finish, and
     /// returns the final session table. Connections already established
     /// when shutdown starts are still served to completion — their
-    /// events drain through the decoders (and sinks) exactly once.
+    /// events drain through the decoders (and sinks) exactly once. The
+    /// table is moved out when this hub holds the only reference to
+    /// it, cloned when it is shared.
     pub fn shutdown(mut self) -> Vec<HubSession> {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        self.stop_acceptor();
+        SessionTable::into_sessions(&mut self.table)
+    }
+
+    /// Sets the stop flag, wakes the acceptor out of its blocking
+    /// `accept` with one connection to the hub's own address, and joins
+    /// it (it drains the backlog and joins every worker first).
+    fn stop_acceptor(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        self.stop.requested.store(true, Ordering::SeqCst);
+        let target = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, self.addr.port()).into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, self.addr.port()).into(),
+            _ => self.addr,
+        };
+        // Retried until it lands: an acceptor that is never woken would
+        // hang the join below. An acceptor that already exited (its
+        // accept failed after the stop flag) needs no wake.
+        while !acceptor.is_finished() {
+            let mut wake_from = self.stop.wake_from.lock().expect("stop signal poisoned");
+            let woken = TcpStream::connect_timeout(&target, WAKE_CONNECT_TIMEOUT)
+                .and_then(|conn| conn.local_addr());
+            if let Ok(local) = woken {
+                *wake_from = Some(local);
+                break;
+            }
+            drop(wake_from);
+            std::thread::sleep(Duration::from_millis(1));
         }
-        self.snapshot()
+        let _ = acceptor.join();
     }
 }
 
 impl Drop for TelemetryHub {
     fn drop(&mut self) {
-        if let Some(h) = self.acceptor.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = h.join();
-        }
+        self.stop_acceptor();
     }
 }
 
@@ -605,28 +677,37 @@ struct ParkedSession {
 /// cumulative index.
 #[derive(Default)]
 struct ResumeRegistry {
-    in_flight: Mutex<HashMap<(u32, u8), u32>>,
-    parked: Mutex<HashMap<(u32, u8), ParkedSession>>,
+    state: Mutex<ResumeState>,
+    /// Signalled by `park` and `leave`: the two changes a reconnect
+    /// waiting in `try_adopt` for an in-flight key can be waiting for.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct ResumeState {
+    in_flight: HashMap<(u32, u8), u32>,
+    parked: HashMap<(u32, u8), ParkedSession>,
 }
 
 impl ResumeRegistry {
+    fn state(&self) -> std::sync::MutexGuard<'_, ResumeState> {
+        self.state.lock().expect("resume registry poisoned")
+    }
+
     fn enter(&self, key: (u32, u8)) {
-        *self
-            .in_flight
-            .lock()
-            .expect("resume registry poisoned")
-            .entry(key)
-            .or_insert(0) += 1;
+        *self.state().in_flight.entry(key).or_insert(0) += 1;
     }
 
     fn leave(&self, key: (u32, u8)) {
-        let mut map = self.in_flight.lock().expect("resume registry poisoned");
-        if let Some(n) = map.get_mut(&key) {
+        let mut state = self.state();
+        if let Some(n) = state.in_flight.get_mut(&key) {
             *n -= 1;
             if *n == 0 {
-                map.remove(&key);
+                state.in_flight.remove(&key);
             }
         }
+        drop(state);
+        self.changed.notify_all();
     }
 
     /// Claims the parked session for `key` if there is one. When the
@@ -634,24 +715,20 @@ impl ResumeRegistry {
     /// its EOF), waits up to `handoff` for the park to appear.
     fn try_adopt(&self, key: (u32, u8), handoff: Duration) -> Option<ParkedSession> {
         let deadline = Instant::now() + handoff;
+        let mut state = self.state();
         loop {
-            if let Some(p) = self
-                .parked
-                .lock()
-                .expect("resume registry poisoned")
-                .remove(&key)
-            {
+            if let Some(p) = state.parked.remove(&key) {
                 return Some(p);
             }
-            let racing = self
-                .in_flight
-                .lock()
-                .expect("resume registry poisoned")
-                .contains_key(&key);
-            if !racing || Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !state.in_flight.contains_key(&key) || left.is_zero() {
                 return None;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            state = self
+                .changed
+                .wait_timeout(state, left)
+                .expect("resume registry poisoned")
+                .0;
         }
     }
 
@@ -661,14 +738,13 @@ impl ResumeRegistry {
     /// one must be finished into the table, never dropped on the
     /// floor).
     fn park(&self, key: (u32, u8), session: ParkedSession) -> Option<ParkedSession> {
-        self.parked
-            .lock()
-            .expect("resume registry poisoned")
-            .insert(key, session)
+        let displaced = self.state().parked.insert(key, session);
+        self.changed.notify_all();
+        displaced
     }
 
     fn parked_len(&self) -> usize {
-        self.parked.lock().expect("resume registry poisoned").len()
+        self.state().parked.len()
     }
 
     /// Retires parked sessions whose resume window expired: their
@@ -676,7 +752,8 @@ impl ResumeRegistry {
     /// with open books, exactly like an idle UDP peer.
     fn sweep(&self, table: &SessionTable) {
         let expired: Vec<ParkedSession> = {
-            let mut parked = self.parked.lock().expect("resume registry poisoned");
+            let mut state = self.state();
+            let parked = &mut state.parked;
             if parked.is_empty() {
                 return;
             }
@@ -696,10 +773,7 @@ impl ResumeRegistry {
 
     /// Retires every parked session (hub shutdown).
     fn drain(&self, table: &SessionTable) {
-        let all: Vec<ParkedSession> = {
-            let mut parked = self.parked.lock().expect("resume registry poisoned");
-            parked.drain().map(|(_, p)| p).collect()
-        };
+        let all: Vec<ParkedSession> = self.state().parked.drain().map(|(_, p)| p).collect();
         for p in all {
             table.note_evicted();
             finish_session(p.conn_id, p.bytes_received, p.rx, table);
@@ -720,79 +794,91 @@ fn finish_session(conn_id: u64, bytes_received: u64, rx: SessionRx, table: &Sess
     );
 }
 
+/// Serves the listener until the hub's wake connection arrives.
+///
+/// The acceptor blocks in `accept`, so a sensor's connection is picked
+/// up the moment it lands. Shutdown sets the stop flag and then opens
+/// one connection of its own (see [`TelemetryHub::stop_acceptor`]); the
+/// acceptor recognizes it by its peer address, drops it unserved and
+/// uncounted, then drains whatever else is already in the kernel
+/// backlog without blocking and serves it like any other connection.
 fn accept_loop(
     listener: TcpListener,
     config: HubConfig,
     table: Arc<SessionTable>,
     sink_factory: Option<SinkFactory>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
 ) {
-    // Non-blocking accept + short poll: a blocking accept could not be
-    // woken for shutdown without racing real connections still sitting
-    // in the kernel backlog.
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
     let resume = Arc::new(ResumeRegistry::default());
+    let sweeper = config.resume_window.map(|_| {
+        let (resume, table, stop) = (Arc::clone(&resume), Arc::clone(&table), Arc::clone(&stop));
+        std::thread::spawn(move || sweep_loop(&resume, &table, &stop))
+    });
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    let mut stopping = false;
-    let mut last_sweep = Instant::now();
+    let mut admit = |socket: TcpStream| {
+        // Workers must block on reads regardless of what the accepted
+        // socket inherited from the listener.
+        if socket.set_nonblocking(false).is_err() {
+            return;
+        }
+        // Reap finished workers so long-running hubs don't accumulate
+        // handles (and so the cap below counts only live sessions).
+        workers.retain(|h| !h.is_finished());
+        if let Some(cap) = config.max_sessions {
+            if workers.len() + resume.parked_len() >= cap {
+                // Shed: accept-and-drop keeps the backlog moving and
+                // sends the peer a clean close.
+                table.note_shed();
+                return;
+            }
+        }
+        let table = Arc::clone(&table);
+        let resume = Arc::clone(&resume);
+        let conn_id = table.next_conn_id();
+        let config = config.clone();
+        let sink = sink_factory.as_ref().map(|f| f(conn_id));
+        workers.push(std::thread::spawn(move || {
+            serve_connection(conn_id, socket, config, &table, sink, &resume)
+        }));
+    };
     loop {
-        if last_sweep.elapsed() >= SWEEP_EVERY {
-            resume.sweep(&table);
-            last_sweep = Instant::now();
-        }
         match listener.accept() {
-            Ok((socket, _peer)) => {
-                // Workers must block on reads regardless of what the
-                // accepted socket inherited.
-                if socket.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                // Reap finished workers so long-running hubs don't
-                // accumulate handles (and so the cap below counts only
-                // live sessions).
-                workers.retain(|h| !h.is_finished());
-                if let Some(cap) = config.max_sessions {
-                    if workers.len() + resume.parked_len() >= cap {
-                        // Shed: accept-and-drop keeps the backlog
-                        // moving and sends the peer a clean close.
-                        table.note_shed();
-                        drop(socket);
-                        continue;
-                    }
-                }
-                let table = Arc::clone(&table);
-                let resume = Arc::clone(&resume);
-                let conn_id = table.next_conn_id();
-                let config = config.clone();
-                let sink = sink_factory.as_ref().map(|f| f(conn_id));
-                workers.push(std::thread::spawn(move || {
-                    serve_connection(conn_id, socket, config, &table, sink, &resume)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stopping {
-                    break; // backlog drained after the stop request
-                }
-                if stop.load(Ordering::SeqCst) {
-                    stopping = true; // one more pass to drain the backlog
-                    continue;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
+            Ok((_, peer)) if stop.is_wake(peer) => break,
+            Ok((socket, _)) => admit(socket),
+            Err(_) if stop.requested() => break,
+            Err(_) => {}
+        }
+    }
+    // Connections that queued before the stop are still served.
+    if listener.set_nonblocking(true).is_ok() {
+        while let Ok((socket, peer)) = listener.accept() {
+            if !stop.is_wake(peer) {
+                admit(socket);
             }
         }
+    }
+    if let Some(sweeper) = sweeper {
+        sweeper.thread().unpark();
+        let _ = sweeper.join();
     }
     for h in workers {
         let _ = h.join();
     }
     // Workers parked during shutdown have nobody left to resume them.
     resume.drain(&table);
+}
+
+/// Retires expired parked sessions every [`SWEEP_EVERY`] until the hub
+/// stops. The acceptor unparks this thread on stop, so shutdown never
+/// waits out a sweep period; a spurious early wake-up only sweeps early.
+fn sweep_loop(resume: &ResumeRegistry, table: &SessionTable, stop: &StopSignal) {
+    loop {
+        std::thread::park_timeout(SWEEP_EVERY);
+        if stop.requested() {
+            return;
+        }
+        resume.sweep(table);
+    }
 }
 
 /// How a TCP worker's read loop ended.
@@ -950,7 +1036,7 @@ fn serve_connection(
     //
     // Ordering matters: the park must be registered *before* this
     // worker leaves the in-flight set. A reconnecting sender's
-    // `try_adopt` polls only while the key is in flight — leaving
+    // `try_adopt` waits only while the key is in flight — leaving
     // first would open a window where neither the park nor the
     // in-flight mark is visible and the reconnect would start a fresh
     // session, booking the entire delivered prefix as gap loss.
@@ -1853,6 +1939,92 @@ mod tests {
             sessions[0].report.stats.crc_failures >= 4,
             "the decoder counted the garbage before the cutoff"
         );
+    }
+
+    #[test]
+    fn shutting_down_an_idle_capped_hub_books_nothing_for_the_wake_connection() {
+        let config = HubConfig {
+            max_sessions: Some(0),
+            ..HubConfig::default()
+        };
+        let hub = TelemetryHub::bind("127.0.0.1:0", config).unwrap();
+        let table = hub.session_table();
+        assert!(hub.shutdown().is_empty());
+        assert!(table.is_empty());
+        let health = table.health();
+        assert_eq!(health.sessions_started, 0, "wake connection never served");
+        assert_eq!(health.shed, 0, "wake connection never shed");
+        assert_eq!(health.evicted, 0);
+        assert_eq!(health.quarantined, 0);
+    }
+
+    #[test]
+    fn unclaimed_park_is_swept_while_the_acceptor_waits() {
+        let config = HubConfig {
+            resume_window: Some(Duration::from_millis(40)),
+            ..HubConfig::default()
+        };
+        let hub = TelemetryHub::bind("127.0.0.1:0", config).unwrap();
+        let header = SessionHeader::new(8, 1, 2000.0, 1.0);
+        let mut pk = Packetizer::new(header);
+        let mut raw = TcpStream::connect(hub.local_addr()).unwrap();
+        raw.write_all(&pk.hello()).unwrap();
+        // Hang up without a BYE and never come back: the session parks
+        // for resume, and only the sweeper can retire it — no other
+        // connection arrives to wake the acceptor.
+        drop(raw);
+        wait_until(
+            || hub.session_table().len() == 1,
+            "expired park swept into the table",
+        );
+        if cfg!(feature = "metrics") {
+            assert_eq!(hub.health().evicted, 1);
+        }
+        let sessions = hub.shutdown();
+        assert_eq!(sessions.len(), 1);
+        assert!(!sessions[0].report.stats.closed, "no BYE ever arrived");
+    }
+
+    #[test]
+    fn idle_hubs_bind_and_shut_down_without_waiting_out_a_period() {
+        let start = Instant::now();
+        for _ in 0..50 {
+            assert!(hub().shutdown().is_empty());
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "50 idle hubs took {took:?}");
+    }
+
+    #[test]
+    fn shutdown_returns_the_same_sessions_from_a_private_or_shared_table() {
+        let run = |hub: TelemetryHub| {
+            for id in [5u32, 2, 9] {
+                let header = SessionHeader::new(id, 2, 2000.0, 1.0);
+                let events: Vec<AddressedEvent> = (0..120)
+                    .map(|i| AddressedEvent {
+                        channel: (i % 2) as u8,
+                        event: Event::at_tick(i * 13 + u64::from(id), header.tick_period_s, None),
+                    })
+                    .collect();
+                let mut tx = SessionSender::connect(hub.local_addr(), header).unwrap();
+                tx.send_events(&events).unwrap();
+                tx.finish().unwrap();
+            }
+            hub.shutdown()
+        };
+        // The private table is moved out; a table the caller still
+        // holds is cloned and keeps its sessions.
+        let moved = run(hub());
+        let table = SessionTable::shared();
+        let shared =
+            run(
+                TelemetryHub::bind_with("127.0.0.1:0", HubConfig::default(), table.clone(), None)
+                    .unwrap(),
+            );
+        assert_eq!(table.len(), 3, "a shared table keeps its sessions");
+        let ids: Vec<u32> = moved.iter().map(|s| s.session_id).collect();
+        assert_eq!(ids, [2, 5, 9], "sorted by session id");
+        assert_eq!(format!("{moved:?}"), format!("{shared:?}"));
     }
 
     #[test]

@@ -206,13 +206,14 @@ impl UdpTelemetryHub {
     /// Stops receiving, drains every datagram already delivered to the
     /// socket, finishes every in-flight peer session (each decoded
     /// event reaches its sink exactly once), and returns the final
-    /// session table.
+    /// session table — moved out when this hub holds the only reference
+    /// to it, cloned when it is shared.
     pub fn shutdown(mut self) -> Vec<HubSession> {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.receiver.take() {
             let _ = h.join();
         }
-        self.snapshot()
+        SessionTable::into_sessions(&mut self.table)
     }
 }
 
@@ -1737,6 +1738,38 @@ mod tests {
         assert_eq!(sessions.len(), 1, "in-flight peer flushed at shutdown");
         assert_eq!(sessions[0].report.stats.events_decoded, 40);
         assert!(!sessions[0].report.stats.closed, "no BYE, books stay open");
+    }
+
+    #[test]
+    fn udp_shutdown_returns_the_same_sessions_from_a_private_or_shared_table() {
+        let run = |hub: UdpTelemetryHub| {
+            for id in [5u32, 2, 9] {
+                let header = SessionHeader::new(id, 2, 2000.0, 1.0);
+                let mut tx = UdpSessionSender::connect(hub.local_addr(), header).unwrap();
+                tx.send_events(&test_events(&header, 120)).unwrap();
+                tx.finish().unwrap();
+            }
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while hub.session_count() < 3 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            hub.shutdown()
+        };
+        // The private table is moved out; a table the caller still
+        // holds is cloned and keeps its sessions.
+        let moved = run(UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap());
+        let table = SessionTable::shared();
+        let shared = run(UdpTelemetryHub::bind_with(
+            "127.0.0.1:0",
+            HubConfig::default(),
+            table.clone(),
+            None,
+        )
+        .unwrap());
+        assert_eq!(table.len(), 3, "a shared table keeps its sessions");
+        let ids: Vec<u32> = moved.iter().map(|s| s.session_id).collect();
+        assert_eq!(ids, [2, 5, 9], "sorted by session id");
+        assert_eq!(format!("{moved:?}"), format!("{shared:?}"));
     }
 
     #[test]
