@@ -23,8 +23,8 @@
 //! mirroring the fleet bench's throughput keys.
 
 use std::hint::black_box;
-use std::time::Instant;
 
+use datc_bench::harness::{interleaved_ratio, measure};
 use datc_core::config::DatcConfig;
 use datc_core::encoder::TraceLevel;
 use datc_engine::{FleetOutput, FleetRunner};
@@ -32,72 +32,6 @@ use datc_signal::generator::{ForceProfile, SemgGenerator, SemgModel};
 use datc_signal::motor::{motor_fleet, WorkloadScenario};
 use datc_signal::resample::ZohResampler;
 use datc_signal::Signal;
-
-/// Times `f` with best-of-`samples` after calibrating an inner iteration
-/// count to ≥ `target_ms` per sample. Returns seconds per call.
-fn measure<F: FnMut() -> u64>(mut f: F, samples: u32, target_ms: u64) -> f64 {
-    let target = std::time::Duration::from_millis(target_ms);
-    let mut iters = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 16 {
-            break;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 8
-        } else {
-            ((iters as f64 * target.as_secs_f64() / elapsed.as_secs_f64()) as u64)
-                .clamp(iters + 1, 1 << 16)
-        };
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
-/// Median of per-round `a/b` timing ratios with `a()` and `b()` run back
-/// to back inside each round, execution order alternating between
-/// rounds — the drift-cancelling measurement (same as `bench_fleet`).
-fn interleaved_ratio<A: FnMut() -> u64, B: FnMut() -> u64>(
-    mut a: A,
-    mut b: B,
-    rounds: usize,
-) -> f64 {
-    let mut ratios = Vec::with_capacity(rounds);
-    let time = |f: &mut dyn FnMut() -> u64| {
-        let t = Instant::now();
-        black_box(f());
-        t.elapsed().as_secs_f64()
-    };
-    for round in 0..rounds {
-        let (ta, tb) = if round % 2 == 0 {
-            let ta = time(&mut a);
-            let tb = time(&mut b);
-            (ta, tb)
-        } else {
-            let tb = time(&mut b);
-            let ta = time(&mut a);
-            (ta, tb)
-        };
-        ratios.push(ta / tb);
-    }
-    median(&mut ratios)
-}
-
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    v[v.len() / 2]
-}
 
 /// The stationary filtered-noise reference fleet: constant 40 % MVC
 /// through the modulated-noise sEMG model, same 2.5 kHz / subject-gain
@@ -133,7 +67,7 @@ fn rate_stats(out: &FleetOutput, seconds: f64, window_s: f64) -> RateStats {
     let mut bins = vec![0u64; n_bins];
     for ch in &out.channels {
         for e in ch.events.iter() {
-            let bin = ((e.time_s / window_s) as usize).min(n_bins - 1);
+            let bin = ((ch.events.time_of(e) / window_s) as usize).min(n_bins - 1);
             bins[bin] += 1;
         }
     }
@@ -204,6 +138,7 @@ fn main() {
         || runner.encode(&ballistic).total_events() as u64,
         samples,
         target_ms,
+        1 << 16,
     );
     let encode_rate = (channels as u64 * ticks_per_channel) as f64 / encode_secs;
     println!(
@@ -221,7 +156,8 @@ fn main() {
         || runner.encode(&ballistic).total_events() as u64,
         || sustained.encode(&ballistic).total_events() as u64,
         rounds,
-    );
+    )
+    .0;
     println!(
         "cold encode vs sustained FleetEncoder: {cold_vs_sustained:.2}x \
          (interleaved median; > 1.0 means recycling wins)"

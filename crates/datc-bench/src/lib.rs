@@ -13,6 +13,149 @@ pub fn full_scale() -> bool {
         .unwrap_or(false)
 }
 
+pub mod harness {
+    //! The hand-rolled timing harness shared by the benches that write
+    //! `BENCH_*.json` artifacts (`bench_fleet`, `bench_wire`,
+    //! `bench_workload`): best-of timing over a calibrated inner loop,
+    //! and drift-cancelling interleaved ratios.
+
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    /// Times `f` best-of-`samples` after calibrating an inner iteration
+    /// count to ≥ `target_ms` per sample, capped at `max_iters`.
+    /// Returns seconds per call.
+    pub fn measure<F: FnMut() -> u64>(
+        mut f: F,
+        samples: u32,
+        target_ms: u64,
+        max_iters: u64,
+    ) -> f64 {
+        let target = Duration::from_millis(target_ms);
+        let mut iters = 1u64;
+        loop {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            let elapsed = start.elapsed();
+            if elapsed >= target || iters >= max_iters {
+                break;
+            }
+            iters = if elapsed.is_zero() {
+                iters * 8
+            } else {
+                ((iters as f64 * target.as_secs_f64() / elapsed.as_secs_f64()) as u64)
+                    .clamp(iters + 1, max_iters)
+            };
+        }
+        let mut best = f64::INFINITY;
+        for _ in 0..samples {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            best = best.min(start.elapsed().as_secs_f64() / iters as f64);
+        }
+        best
+    }
+
+    /// Runs `a()` and `b()` back to back `rounds` times, execution
+    /// order alternating between rounds (back-to-back cancels slow
+    /// frequency drift; alternation cancels any residual
+    /// first-in-round bias). Returns the median per-round `a/b` ratio
+    /// and the median seconds of `a` and of `b`.
+    pub fn interleaved_ratio<A: FnMut() -> u64, B: FnMut() -> u64>(
+        mut a: A,
+        mut b: B,
+        rounds: usize,
+    ) -> (f64, f64, f64) {
+        let mut ratios = Vec::with_capacity(rounds);
+        let mut a_secs = Vec::with_capacity(rounds);
+        let mut b_secs = Vec::with_capacity(rounds);
+        let time = |f: &mut dyn FnMut() -> u64| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64()
+        };
+        for round in 0..rounds {
+            let (ta, tb) = if round % 2 == 0 {
+                let ta = time(&mut a);
+                let tb = time(&mut b);
+                (ta, tb)
+            } else {
+                let tb = time(&mut b);
+                let ta = time(&mut a);
+                (ta, tb)
+            };
+            ratios.push(ta / tb);
+            a_secs.push(ta);
+            b_secs.push(tb);
+        }
+        (
+            median(&mut ratios),
+            median(&mut a_secs),
+            median(&mut b_secs),
+        )
+    }
+
+    /// The upper median of `v` (sorts it in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty slice or a NaN.
+    pub fn median(v: &mut [f64]) -> f64 {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        v[v.len() / 2]
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn median_is_the_upper_middle() {
+            assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+            assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
+        }
+
+        #[test]
+        fn interleaved_ratio_runs_each_side_once_per_round() {
+            let (mut na, mut nb) = (0u64, 0u64);
+            let (ratio, a, b) = interleaved_ratio(
+                || {
+                    na += 1;
+                    na
+                },
+                || {
+                    nb += 1;
+                    nb
+                },
+                5,
+            );
+            assert_eq!((na, nb), (5, 5));
+            assert!(ratio > 0.0 && a >= 0.0 && b >= 0.0);
+        }
+
+        #[test]
+        fn measure_respects_the_iteration_cap() {
+            let mut calls = 0u64;
+            let secs = measure(
+                || {
+                    calls += 1;
+                    calls
+                },
+                2,
+                10_000,
+                4,
+            );
+            // calibration stops at the cap long before the 10 s target
+            assert!(calls <= 1 + 8 + 2 * 8, "{calls} calls");
+            assert!(secs >= 0.0);
+        }
+    }
+}
+
 pub mod regression {
     //! The CI perf-regression gate: compares a freshly written
     //! `BENCH_*.quick.json` artifact against the committed baseline and

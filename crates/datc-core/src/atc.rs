@@ -128,7 +128,6 @@ impl AtcEncoder {
             if now && !prev {
                 events.push(Event {
                     tick: i as u64,
-                    time_s: i as f64 / tick_rate_hz,
                     vth_code: None,
                 });
             }

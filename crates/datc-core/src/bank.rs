@@ -164,17 +164,15 @@ impl BankSink for BankCountingSink {
 /// `DatcOutput`s.
 #[derive(Debug, Clone)]
 pub struct BankEventSink {
-    tick_period_s: f64,
     events: Vec<Vec<Event>>,
     ones: Vec<u64>,
     ticks: u64,
 }
 
 impl BankEventSink {
-    /// Creates a sink for `n` channels of a kernel clocked at `clock_hz`.
-    pub fn new(clock_hz: f64, n: usize) -> Self {
+    /// Creates a sink for `n` channels.
+    pub fn new(n: usize) -> Self {
         BankEventSink {
-            tick_period_s: 1.0 / clock_hz,
             events: vec![Vec::new(); n],
             ones: vec![0; n],
             ticks: 0,
@@ -241,7 +239,6 @@ impl BankSink for BankEventSink {
     fn on_event(&mut self, channel: usize, tick: u64, code: u8) {
         self.events[channel].push(Event {
             tick,
-            time_s: tick as f64 * self.tick_period_s,
             vth_code: Some(code),
         });
     }
@@ -1357,7 +1354,7 @@ mod tests {
                 .with_comparators(&comps)
                 .unwrap()
                 .with_simd_policy(simd);
-            let mut sink = BankEventSink::new(config.clock_hz, 5);
+            let mut sink = BankEventSink::new(5);
             bank.push_planar(&planar, &mut sink);
             for (c, steps) in expected.iter().enumerate() {
                 let solo_events: Vec<(u64, u8)> = steps
@@ -1410,7 +1407,7 @@ mod tests {
             let mut bank = BankStream::new(config, 40)
                 .unwrap()
                 .with_tiling(TilePolicy::none());
-            let mut sink = BankEventSink::new(config.clock_hz, 40);
+            let mut sink = BankEventSink::new(40);
             bank.push_planar(&planar, &mut sink);
             (bank.ticks(), bank.frames(), sink.into_parts())
         };
@@ -1426,7 +1423,7 @@ mod tests {
             },
         ] {
             let mut bank = BankStream::new(config, 40).unwrap().with_tiling(tiling);
-            let mut sink = BankEventSink::new(config.clock_hz, 40);
+            let mut sink = BankEventSink::new(40);
             bank.push_planar(&planar, &mut sink);
             assert_eq!(
                 (bank.ticks(), bank.frames(), sink.into_parts()),
@@ -1506,7 +1503,7 @@ mod tests {
 
         for simd in [SimdPolicy::Auto, SimdPolicy::ForceScalar] {
             let mut bank = BankStream::new(config, 4).unwrap().with_simd_policy(simd);
-            let mut sink = BankEventSink::new(config.clock_hz, 4);
+            let mut sink = BankEventSink::new(4);
             let n_ticks = bank.push_signals(&signals, &mut sink);
             assert_eq!(n_ticks, bank.ticks());
 
@@ -1540,7 +1537,7 @@ mod tests {
                 .with_comparators(&comps)
                 .unwrap()
                 .with_simd_policy(simd);
-            let mut sink = BankEventSink::new(config.clock_hz, 6);
+            let mut sink = BankEventSink::new(6);
             bank.push_signals(&signals, &mut sink);
             outputs.push(sink.into_parts());
         }
@@ -1597,10 +1594,10 @@ mod tests {
             .unwrap()
             .with_comparators(&comps)
             .unwrap();
-        let mut first = BankEventSink::new(config.clock_hz, 4);
+        let mut first = BankEventSink::new(4);
         bank.push_planar(&planar, &mut first);
         bank.reset();
-        let mut again = BankEventSink::new(config.clock_hz, 4);
+        let mut again = BankEventSink::new(4);
         bank.push_planar(&planar, &mut again);
         assert_eq!(first.into_parts(), again.into_parts());
     }

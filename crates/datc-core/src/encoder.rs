@@ -119,7 +119,6 @@ pub trait TickSink {
 #[derive(Debug, Clone)]
 pub struct EventSink {
     clock_hz: f64,
-    tick_period_s: f64,
     events: Vec<Event>,
 }
 
@@ -128,7 +127,6 @@ impl EventSink {
     pub fn new(clock_hz: f64) -> Self {
         EventSink {
             clock_hz,
-            tick_period_s: 1.0 / clock_hz,
             events: Vec::new(),
         }
     }
@@ -154,7 +152,6 @@ impl TickSink for EventSink {
         if step.event {
             self.events.push(Event {
                 tick,
-                time_s: tick as f64 * self.tick_period_s,
                 vth_code: Some(step.sampled_code),
             });
         }
@@ -206,7 +203,6 @@ impl TickSink for CountingSink {
 pub struct DatcOutputBuilder {
     trace: TraceLevel,
     clock_hz: f64,
-    tick_period_s: f64,
     vth_lut: Vec<f64>,
     events: Vec<Event>,
     vth_code_trace: Vec<u8>,
@@ -238,7 +234,6 @@ impl DatcOutputBuilder {
         DatcOutputBuilder {
             trace,
             clock_hz: config.clock_hz,
-            tick_period_s: 1.0 / config.clock_hz,
             vth_lut: Dac::new(config.dac_bits, config.vref)
                 .expect("validated configuration")
                 .voltage_table(),
@@ -279,7 +274,6 @@ impl TickSink for DatcOutputBuilder {
         if step.event {
             self.events.push(Event {
                 tick,
-                time_s: tick as f64 * self.tick_period_s,
                 vth_code: Some(step.sampled_code),
             });
         }
@@ -327,17 +321,6 @@ pub struct EncoderBank<E> {
 }
 
 impl<E: SpikeEncoder> EncoderBank<E> {
-    /// Builds a bank from per-channel encoders (possibly with different
-    /// configurations per channel).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty bank.
-    pub fn new(encoders: Vec<E>) -> Self {
-        assert!(!encoders.is_empty(), "encoder bank needs ≥ 1 channel");
-        EncoderBank { encoders }
-    }
-
     /// Builds an `n`-channel bank of clones of `encoder`.
     pub fn replicate(encoder: E, n: usize) -> Self
     where

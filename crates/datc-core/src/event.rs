@@ -2,41 +2,33 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Seconds at `tick` on a clock of period `tick_period_s`:
+/// `tick · tick_period_s`. The one tick→seconds rule — every reader of
+/// event time ([`EventStream::time_of`], the AER link's dead-time model,
+/// wire decoders holding a tick column) goes through it, so a time
+/// derived anywhere is bit-identical to the same tick's time elsewhere.
+#[inline]
+pub fn tick_to_seconds(tick: u64, tick_period_s: f64) -> f64 {
+    tick as f64 * tick_period_s
+}
+
 /// A single positive threshold-crossing event, as issued to the IR-UWB
 /// modulator.
+///
+/// The tick is the only stored time: an event's time in seconds depends
+/// on the clock it was counted on, so it is read through the owning
+/// stream's [`EventStream::time_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Clock tick (for clocked D-ATC) or sample index (for asynchronous
     /// ATC) at which the crossing was detected.
     pub tick: u64,
-    /// Event time in seconds.
-    pub time_s: f64,
     /// The 4-bit threshold code in force when the event fired (`None` for
     /// plain ATC, which transmits a bare pulse).
     pub vth_code: Option<u8>,
 }
 
 impl Event {
-    /// Builds an event at clock tick `tick` with the canonical timestamp
-    /// `tick * tick_period_s` — the exact expression the streaming kernel
-    /// uses, so events rebuilt from a tick-domain wire format are
-    /// bit-identical to the encoder's originals.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use datc_core::event::Event;
-    /// let e = Event::at_tick(250, 1.0 / 2000.0, Some(3));
-    /// assert_eq!(e.time_s, 250.0 * (1.0 / 2000.0));
-    /// ```
-    pub fn at_tick(tick: u64, tick_period_s: f64, vth_code: Option<u8>) -> Event {
-        Event {
-            tick,
-            time_s: tick as f64 * tick_period_s,
-            vth_code,
-        }
-    }
-
     /// Number of IR-UWB symbols this event costs on air: 1 for a bare ATC
     /// pulse, `1 + n_bits` for a D-ATC event pattern (Fig. 2-E: the event
     /// marker plus the digitised threshold level).
@@ -54,9 +46,10 @@ impl Event {
 ///
 /// ```
 /// use datc_core::event::{Event, EventStream};
-/// let ev = vec![Event { tick: 10, time_s: 0.005, vth_code: Some(3) }];
+/// let ev = vec![Event { tick: 10, vth_code: Some(3) }];
 /// let s = EventStream::new(ev, 2000.0, 1.0);
 /// assert_eq!(s.len(), 1);
+/// assert_eq!(s.time_of(&s.events()[0]), 10.0 * (1.0 / 2000.0));
 /// assert!((s.mean_rate_hz() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,6 +122,18 @@ impl EventStream {
         self.tick_rate_hz
     }
 
+    /// Seconds per tick, `1 / tick_rate_hz`.
+    pub fn tick_period_s(&self) -> f64 {
+        1.0 / self.tick_rate_hz
+    }
+
+    /// The time of `event` in seconds ([`tick_to_seconds`] at
+    /// [`tick_period_s`](EventStream::tick_period_s)).
+    #[inline]
+    pub fn time_of(&self, event: &Event) -> f64 {
+        tick_to_seconds(event.tick, self.tick_period_s())
+    }
+
     /// Observation-window length in seconds.
     pub fn duration_s(&self) -> f64 {
         self.duration_s
@@ -149,7 +154,8 @@ impl EventStream {
     pub fn count_in_window(&self, t0: f64, t1: f64) -> usize {
         self.events
             .iter()
-            .filter(|e| e.time_s >= t0 && e.time_s < t1)
+            .map(|e| self.time_of(e))
+            .filter(|&t| t >= t0 && t < t1)
             .count()
     }
 
@@ -172,18 +178,26 @@ impl<'a> IntoIterator for &'a EventStream {
 mod tests {
     use super::*;
 
-    fn ev(tick: u64, t: f64, code: Option<u8>) -> Event {
+    fn ev(tick: u64, code: Option<u8>) -> Event {
         Event {
             tick,
-            time_s: t,
             vth_code: code,
         }
     }
 
     #[test]
+    fn events_store_the_tick_only() {
+        // tick + code, no derived seconds riding along
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        let s = EventStream::new(vec![ev(3, None)], 2000.0, 1.0);
+        assert_eq!(s.time_of(&s.events()[0]), tick_to_seconds(3, 1.0 / 2000.0));
+        assert_eq!(s.tick_period_s(), 1.0 / 2000.0);
+    }
+
+    #[test]
     fn symbol_costs_match_paper_accounting() {
-        let atc = ev(0, 0.0, None);
-        let datc = ev(0, 0.0, Some(7));
+        let atc = ev(0, None);
+        let datc = ev(0, Some(7));
         assert_eq!(atc.symbol_cost(4), 1);
         assert_eq!(datc.symbol_cost(4), 5); // the paper's "3724×5" factor
     }
@@ -191,11 +205,7 @@ mod tests {
     #[test]
     fn stream_symbol_count_sums() {
         let s = EventStream::new(
-            vec![
-                ev(0, 0.0, Some(1)),
-                ev(1, 0.001, Some(2)),
-                ev(2, 0.002, Some(3)),
-            ],
+            vec![ev(0, Some(1)), ev(1, Some(2)), ev(2, Some(3))],
             2000.0,
             1.0,
         );
@@ -205,7 +215,7 @@ mod tests {
     #[test]
     fn window_counting() {
         let s = EventStream::new(
-            vec![ev(0, 0.1, None), ev(1, 0.2, None), ev(2, 0.9, None)],
+            vec![ev(100, None), ev(200, None), ev(900, None)],
             1000.0,
             1.0,
         );
@@ -216,12 +226,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "ordered by tick")]
     fn unordered_events_rejected() {
-        let _ = EventStream::new(vec![ev(5, 0.5, None), ev(1, 0.1, None)], 1000.0, 1.0);
+        let _ = EventStream::new(vec![ev(5, None), ev(1, None)], 1000.0, 1.0);
     }
 
     #[test]
     fn iteration_works() {
-        let s = EventStream::new(vec![ev(0, 0.0, None)], 1000.0, 1.0);
+        let s = EventStream::new(vec![ev(0, None)], 1000.0, 1.0);
         assert_eq!((&s).into_iter().count(), 1);
     }
 }

@@ -67,9 +67,6 @@ pub struct DatcStream {
     /// function); the per-tick kernel does one array index instead of a
     /// fallible `Dac::voltage` call.
     vth_lut: Vec<f64>,
-    /// `1 / clock_hz`, hoisted out of the tick loops: event timestamps
-    /// are a multiply, never a division.
-    tick_period_s: f64,
     tick: u64,
 }
 
@@ -86,7 +83,6 @@ impl DatcStream {
             dtc: Dtc::new(config)?,
             comparator: Comparator::ideal(),
             vth_lut: dac.voltage_table(),
-            tick_period_s: 1.0 / config.clock_hz,
             tick: 0,
         })
     }
@@ -131,11 +127,9 @@ impl DatcStream {
     /// Processes one system-clock tick with the instantaneous rectified
     /// input voltage `x_volts`.
     pub fn tick(&mut self, x_volts: f64) -> StreamTick {
-        let period = self.tick_period_s;
         let (k, step) = self.step_core(x_volts);
         let event = step.event.then_some(Event {
             tick: k,
-            time_s: k as f64 * period,
             vth_code: Some(step.sampled_code),
         });
         StreamTick {
@@ -289,11 +283,11 @@ mod tests {
         for k in 0..300u64 {
             let x = if k % 3 == 0 { 0.9 } else { 0.0 };
             if let Some(e) = s.tick(x).event {
-                first_event = Some(e);
+                first_event = Some((k, e));
                 break;
             }
         }
-        let e = first_event.expect("toggling input must fire");
-        assert!((e.time_s - e.tick as f64 / 2000.0).abs() < 1e-12);
+        let (k, e) = first_event.expect("toggling input must fire");
+        assert_eq!(e.tick, k, "events carry the tick they fired on");
     }
 }

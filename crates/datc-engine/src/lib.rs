@@ -388,7 +388,7 @@ impl FleetRunner {
                 }
                 ShardState {
                     bank,
-                    sink: BankEventSink::new(self.config.clock_hz, range.len()),
+                    sink: BankEventSink::new(range.len()),
                 }
             })
             .collect();
@@ -569,7 +569,7 @@ fn run_shard(
             .with_comparators(comps)
             .expect("validated in FleetRunner::with_comparators");
     }
-    let mut sink = BankEventSink::new(config.clock_hz, signals.len());
+    let mut sink = BankEventSink::new(signals.len());
     if let Some(first) = signals.first() {
         // Pre-size the event buffers so a realistic recording never
         // reallocates mid-encode (a growth wave across 64 channels

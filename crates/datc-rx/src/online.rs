@@ -105,7 +105,7 @@ pub trait OnlineReconstructor {
     /// the batch reconstruction of the same stream.
     fn run_batch(&mut self, events: &EventStream) -> Vec<f64> {
         for e in events {
-            self.push_coded(e.time_s, e.vth_code);
+            self.push_coded(events.time_of(e), e.vth_code);
         }
         self.finish(events.duration_s());
         let mut out = Vec::with_capacity(self.emitted());
@@ -176,7 +176,7 @@ impl OutputClock {
 /// use datc_rx::windowing::sliding_rate;
 ///
 /// let ev: Vec<Event> = (0..40)
-///     .map(|i| Event { tick: i, time_s: i as f64 * 0.025, vth_code: None })
+///     .map(|i| Event { tick: i * 25, vth_code: None })
 ///     .collect();
 /// let stream = EventStream::new(ev, 1000.0, 1.0);
 /// let batch = sliding_rate(&stream, 0.25, 100.0);
@@ -313,9 +313,9 @@ impl OnlineReconstructor for OnlineRateReconstructor {
 /// use datc_rx::windowing::ewma_rate;
 ///
 /// let ev: Vec<Event> = (0..80)
-///     .map(|i| Event { tick: i, time_s: i as f64 * 0.0125, vth_code: None })
+///     .map(|i| Event { tick: i * 25, vth_code: None })
 ///     .collect();
-/// let stream = EventStream::new(ev, 1000.0, 1.0);
+/// let stream = EventStream::new(ev, 2000.0, 1.0);
 /// let batch = ewma_rate(&stream, 0.2, 200.0);
 /// let online = OnlineEwmaReconstructor::new(0.2, 200.0).run_batch(&stream);
 /// assert_eq!(online, batch.samples()); // bit-exact
@@ -452,7 +452,7 @@ impl OnlineReconstructor for OnlineEwmaReconstructor {
 /// use datc_rx::reconstruct::{Reconstructor, ThresholdTrackReconstructor};
 ///
 /// let ev: Vec<Event> = (0..60)
-///     .map(|i| Event { tick: i, time_s: i as f64 * 0.03, vth_code: Some((i % 16) as u8) })
+///     .map(|i| Event { tick: i * 30, vth_code: Some((i % 16) as u8) })
 ///     .collect();
 /// let stream = EventStream::new(ev, 1000.0, 2.0);
 /// let batch = ThresholdTrackReconstructor::paper().reconstruct(&stream, 100.0);
@@ -627,7 +627,7 @@ impl OnlineReconstructor for OnlineThresholdTrackReconstructor {
 /// use datc_rx::reconstruct::{HybridReconstructor, Reconstructor};
 ///
 /// let ev: Vec<Event> = (0..90)
-///     .map(|i| Event { tick: i, time_s: i as f64 * 0.02, vth_code: Some((i % 16) as u8) })
+///     .map(|i| Event { tick: i * 20, vth_code: Some((i % 16) as u8) })
 ///     .collect();
 /// let stream = EventStream::new(ev, 1000.0, 2.0);
 /// let batch = HybridReconstructor::paper().reconstruct(&stream, 100.0);
@@ -1061,27 +1061,27 @@ mod tests {
     use datc_core::event::{Event, EventStream};
 
     fn bursty_stream(seed: u64, duration_s: f64) -> EventStream {
-        // Deterministic irregular spacing without an RNG dependency.
-        let mut t = 0.0f64;
+        // Deterministic irregular spacing without an RNG dependency: gaps
+        // of 2..=1001 ticks on a 20 kHz clock (0.1 ms to 50 ms).
+        let rate_hz = 20_000.0;
+        let end = (duration_s * rate_hz) as u64;
         let mut x = seed | 1;
         let mut ev = Vec::new();
         let mut tick = 0u64;
-        while t < duration_s {
+        loop {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            t += 1e-4 + (x % 1000) as f64 * 5e-5;
-            if t >= duration_s {
+            tick += 2 + x % 1000;
+            if tick >= end {
                 break;
             }
             ev.push(Event {
                 tick,
-                time_s: t,
                 vth_code: Some((x % 16) as u8),
             });
-            tick += 1;
         }
-        EventStream::new(ev, 2000.0, duration_s)
+        EventStream::new(ev, rate_hz, duration_s)
     }
 
     #[test]
@@ -1110,8 +1110,9 @@ mod tests {
         let mut incremental = OnlineRateReconstructor::new(0.2, 100.0);
         let mut trace = Vec::new();
         for e in &s {
-            incremental.push_event(e.time_s);
-            incremental.advance_to(e.time_s);
+            let t = s.time_of(e);
+            incremental.push_event(t);
+            incremental.advance_to(t);
             incremental.drain_into(&mut trace); // drain mid-stream too
         }
         incremental.finish(s.duration_s());
@@ -1198,8 +1199,9 @@ mod tests {
         let mut rx = OnlineThresholdTrackReconstructor::paper(100.0);
         let mut trace = Vec::new();
         for e in &s {
-            rx.push_coded(e.time_s, e.vth_code);
-            rx.advance_to(e.time_s);
+            let t = s.time_of(e);
+            rx.push_coded(t, e.vth_code);
+            rx.advance_to(t);
             rx.drain_into(&mut trace);
         }
         rx.finish(s.duration_s());
@@ -1248,8 +1250,9 @@ mod tests {
         let mut rx = OnlineHybridReconstructor::paper(100.0).with_rate0(rate0);
         let mut trace = Vec::new();
         for e in &s {
-            rx.push_coded(e.time_s, e.vth_code);
-            rx.advance_to(e.time_s);
+            let t = s.time_of(e);
+            rx.push_coded(t, e.vth_code);
+            rx.advance_to(t);
             rx.drain_into(&mut trace);
         }
         assert!(!trace.is_empty(), "pinned mode streams before finish");
@@ -1263,16 +1266,17 @@ mod tests {
         let s = bursty_stream(23, 3.0);
         let calib_s = 0.5;
         // Expected calibration: the rate over the first calib_s seconds.
-        let calib_events = s.iter().filter(|e| e.time_s <= calib_s).count();
+        let calib_events = s.iter().filter(|e| s.time_of(e) <= calib_s).count();
         let expected_rate0 = (calib_events as f64 / calib_s).max(f64::MIN_POSITIVE);
 
         let mut rx = OnlineHybridReconstructor::paper(100.0).with_auto_rate0(calib_s);
         let mut trace = Vec::new();
         let mut streamed_before_finish = 0usize;
         for e in &s {
-            rx.push_coded(e.time_s, e.vth_code);
-            rx.advance_to(e.time_s);
-            if e.time_s < calib_s {
+            let t = s.time_of(e);
+            rx.push_coded(t, e.vth_code);
+            rx.advance_to(t);
+            if t < calib_s {
                 assert_eq!(rx.emitted(), 0, "holds back inside the calibration window");
                 assert_eq!(rx.rate0_hz(), None);
             }

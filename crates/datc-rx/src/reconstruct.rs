@@ -123,7 +123,7 @@ impl ThresholdTrackReconstructor {
         let mut current = 0.0f64;
         for k in 0..n_out {
             let t = k as f64 / output_fs;
-            while idx < evs.len() && evs[idx].time_s <= t {
+            while idx < evs.len() && events.time_of(&evs[idx]) <= t {
                 if let Some(code) = evs[idx].vth_code {
                     current = self.dac.voltage(u16::from(code)).unwrap_or(current);
                 }

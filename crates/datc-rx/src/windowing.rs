@@ -17,7 +17,7 @@ use datc_signal::Signal;
 /// use datc_rx::windowing::sliding_rate;
 ///
 /// let ev: Vec<Event> = (0..100)
-///     .map(|i| Event { tick: i, time_s: i as f64 * 0.01, vth_code: None })
+///     .map(|i| Event { tick: i, vth_code: None })
 ///     .collect();
 /// let s = EventStream::new(ev, 100.0, 1.0);
 /// let rate = sliding_rate(&s, 0.2, 100.0);
@@ -28,7 +28,7 @@ pub fn sliding_rate(events: &EventStream, window_s: f64, output_fs: f64) -> Sign
     assert!(window_s > 0.0, "window must be positive");
     assert!(output_fs > 0.0, "output rate must be positive");
     let n_out = (events.duration_s() * output_fs).floor().max(0.0) as usize;
-    let times: Vec<f64> = events.iter().map(|e| e.time_s).collect();
+    let times: Vec<f64> = events.iter().map(|e| events.time_of(e)).collect();
     let mut out = Vec::with_capacity(n_out);
     let mut lo = 0usize; // first event inside the window
     let mut hi = 0usize; // one past the last event with time <= t
@@ -49,7 +49,7 @@ pub fn sliding_rate(events: &EventStream, window_s: f64, output_fs: f64) -> Sign
 /// pairs — the simplest receiver the original ATC demo used.
 ///
 /// An event timestamped exactly at the end of the observation window
-/// (`time_s / window_s == n_windows`, which happens whenever the window
+/// (`time / window_s == n_windows`, which happens whenever the window
 /// length divides the duration) belongs to the last window rather than
 /// to a non-existent one past the end; it is clamped in, not dropped.
 pub fn tumbling_counts(events: &EventStream, window_s: f64) -> Vec<(f64, usize)> {
@@ -57,8 +57,9 @@ pub fn tumbling_counts(events: &EventStream, window_s: f64) -> Vec<(f64, usize)>
     let n_windows = (events.duration_s() / window_s).ceil() as usize;
     let mut counts = vec![0usize; n_windows];
     for e in events {
-        let mut idx = (e.time_s / window_s) as usize;
-        if idx == n_windows && n_windows > 0 && e.time_s <= events.duration_s() {
+        let t = events.time_of(e);
+        let mut idx = (t / window_s) as usize;
+        if idx == n_windows && n_windows > 0 && t <= events.duration_s() {
             // exactly at the window edge: the closed end of the last bin
             // (events strictly past the observation window stay dropped)
             idx = n_windows - 1;
@@ -84,7 +85,7 @@ pub fn ewma_rate(events: &EventStream, tau_s: f64, output_fs: f64) -> Signal {
     let mut out = Vec::with_capacity(n_out);
     let mut level = 0.0f64;
     let mut next_event = 0usize;
-    let times: Vec<f64> = events.iter().map(|e| e.time_s).collect();
+    let times: Vec<f64> = events.iter().map(|e| events.time_of(e)).collect();
     for k in 0..n_out {
         let t = k as f64 / output_fs;
         let mut impulses = 0.0;
@@ -104,16 +105,16 @@ mod tests {
     use super::*;
     use datc_core::event::Event;
 
+    /// One event per tick of a `rate_hz` clock.
     fn regular_stream(rate_hz: f64, duration_s: f64) -> EventStream {
         let n = (rate_hz * duration_s) as usize;
         let ev: Vec<Event> = (0..n)
             .map(|i| Event {
                 tick: i as u64,
-                time_s: i as f64 / rate_hz,
                 vth_code: None,
             })
             .collect();
-        EventStream::new(ev, 1000.0, duration_s)
+        EventStream::new(ev, rate_hz, duration_s)
     }
 
     #[test]
@@ -147,13 +148,11 @@ mod tests {
         // indexes to 4 == n_windows and used to be dropped silently.
         let ev = vec![
             Event {
-                tick: 0,
-                time_s: 0.1,
+                tick: 100,
                 vth_code: None,
             },
             Event {
-                tick: 999,
-                time_s: 1.0,
+                tick: 1000,
                 vth_code: None,
             },
         ];
@@ -168,8 +167,7 @@ mod tests {
         // the clamp rescues the boundary, not out-of-window data
         let late = EventStream::new(
             vec![Event {
-                tick: 0,
-                time_s: 1.49, // idx == n_windows for window 0.5 yet t > duration
+                tick: 1490, // idx == n_windows for window 0.5 yet t > duration
                 vth_code: None,
             }],
             1000.0,
@@ -190,25 +188,22 @@ mod tests {
 
     #[test]
     fn rate_tracks_a_step_change() {
-        // 20 ev/s for 1 s then 100 ev/s for 1 s
+        // 20 ev/s for 1 s then 100 ev/s for 1 s, on a 1 kHz clock
         let mut ev = Vec::new();
         let mut tick = 0u64;
-        let mut push = |t: f64| {
+        while tick < 1000 {
             ev.push(Event {
                 tick,
-                time_s: t,
                 vth_code: None,
             });
-            tick += 1;
-        };
-        let mut t = 0.0;
-        while t < 1.0 {
-            push(t);
-            t += 1.0 / 20.0;
+            tick += 50;
         }
-        while t < 2.0 {
-            push(t);
-            t += 1.0 / 100.0;
+        while tick < 2000 {
+            ev.push(Event {
+                tick,
+                vth_code: None,
+            });
+            tick += 10;
         }
         let s = EventStream::new(ev, 1000.0, 2.0);
         let rate = sliding_rate(&s, 0.2, 100.0);

@@ -7,7 +7,7 @@
 //! acceptable because "artifacts effect is similar to pulse missing".
 
 use datc_core::encoder::{EncoderBank, SpikeEncoder};
-use datc_core::event::{Event, EventStream};
+use datc_core::event::{tick_to_seconds, Event, EventStream};
 use datc_signal::Signal;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -40,8 +40,9 @@ pub struct MergeReport {
 ///
 /// # Panics
 ///
-/// Panics on a negative dead time or on more than 256 channels (the
-/// [`AddressedEvent`] address is 8 bits) — see [`merge_channel_refs`].
+/// Panics on a negative dead time, on more than 256 channels (the
+/// [`AddressedEvent`] address is 8 bits) or on streams counted at
+/// different tick rates — see [`merge_channel_refs`].
 ///
 /// # Example
 ///
@@ -49,8 +50,8 @@ pub struct MergeReport {
 /// use datc_core::event::{Event, EventStream};
 /// use datc_uwb::aer::merge_channels;
 ///
-/// let ch0 = EventStream::new(vec![Event { tick: 0, time_s: 0.000, vth_code: None }], 2000.0, 1.0);
-/// let ch1 = EventStream::new(vec![Event { tick: 1, time_s: 0.0001, vth_code: None }], 2000.0, 1.0);
+/// let ch0 = EventStream::new(vec![Event { tick: 0, vth_code: None }], 2000.0, 1.0);
+/// let ch1 = EventStream::new(vec![Event { tick: 1, vth_code: None }], 2000.0, 1.0);
 /// let report = merge_channels(&[ch0, ch1], 0.001);
 /// assert_eq!(report.merged.len(), 1);
 /// assert_eq!(report.collisions, 1);
@@ -62,11 +63,15 @@ pub fn merge_channels(streams: &[EventStream], dead_time_s: f64) -> MergeReport 
 /// [`merge_channels`] over borrowed streams — fleet-scale callers merge
 /// per-channel outputs they still own without cloning every event list.
 ///
+/// The link carries each event's tick, so every stream on it must count
+/// ticks on one clock; the merge is then a k-way heap merge keyed on
+/// `(tick, channel)` — O(N log k) with k live cursors.
+///
 /// # Panics
 ///
-/// Panics on a negative dead time or on more than 256 channels (the
+/// Panics on a negative dead time, on more than 256 channels (the
 /// [`AddressedEvent`] address is 8 bits; larger fleets must split into
-/// multiple AER links).
+/// multiple AER links) or when the streams' tick rates differ.
 pub fn merge_channel_refs(streams: &[&EventStream], dead_time_s: f64) -> MergeReport {
     assert!(dead_time_s >= 0.0, "dead time must be non-negative");
     assert!(
@@ -74,23 +79,23 @@ pub fn merge_channel_refs(streams: &[&EventStream], dead_time_s: f64) -> MergeRe
         "AER addresses are 8 bits: {} channels exceed one link (split the fleet)",
         streams.len()
     );
-    // Every encoder in the workspace produces time-ordered streams (a
-    // tick-ordered stream with `time = tick · period` is time-ordered),
-    // so the scalable path is a k-way heap merge: O(N log k) with k live
-    // cursors instead of collecting and sorting all N events. A stream
-    // that violates time order (hand-built test data can) falls back to
-    // the original stable sort, which both paths are bit-identical to.
-    let time_ordered = streams
-        .iter()
-        .all(|s| s.events().windows(2).all(|w| w[0].time_s <= w[1].time_s));
-    if time_ordered {
-        apply_dead_time(HeapMerge::new(streams), streams, dead_time_s)
-    } else {
-        apply_dead_time(merge_by_sort(streams).into_iter(), streams, dead_time_s)
+    if let Some(first) = streams.first() {
+        let rate = first.tick_rate_hz();
+        if let Some(other) = streams
+            .iter()
+            .map(|s| s.tick_rate_hz())
+            .find(|&r| r != rate)
+        {
+            panic!(
+                "one AER link carries one tick rate: streams at {rate} Hz and {other} Hz \
+                 cannot share it"
+            );
+        }
     }
+    apply_dead_time(HeapMerge::new(streams), streams, dead_time_s)
 }
 
-/// Serialises a time-ordered iterator of addressed events through the
+/// Serialises a tick-ordered iterator of addressed events through the
 /// link's dead-time contention model.
 fn apply_dead_time(
     events: impl Iterator<Item = AddressedEvent>,
@@ -98,34 +103,41 @@ fn apply_dead_time(
     dead_time_s: f64,
 ) -> MergeReport {
     let total: usize = streams.iter().map(|s| s.len()).sum();
+    let period = streams.first().map_or(0.0, |s| s.tick_period_s());
     let mut merged = Vec::with_capacity(total);
     let mut collisions = 0usize;
     let mut link_free_at = f64::NEG_INFINITY;
     for ae in events {
-        if ae.event.time_s < link_free_at {
+        let t = tick_to_seconds(ae.event.tick, period);
+        if t < link_free_at {
             collisions += 1;
             continue;
         }
-        link_free_at = ae.event.time_s + dead_time_s;
+        link_free_at = t + dead_time_s;
         merged.push(ae);
     }
     MergeReport { merged, collisions }
 }
 
-/// One per-channel cursor in the k-way merge. Ordering matches the
-/// stable collect-then-sort reference exactly: by time, ties broken by
-/// channel then by within-channel index (the order collection pushed
-/// them in).
+/// One per-channel cursor in the k-way merge, ordered by tick, ties
+/// broken by channel. The heap holds one cursor per channel, so
+/// `(tick, channel)` is unique in it, and equal ticks within a channel
+/// leave in slice order.
 struct HeapEntry<'a> {
     current: &'a Event,
     channel: u8,
-    index: usize,
     rest: &'a [Event],
+}
+
+impl HeapEntry<'_> {
+    fn key(&self) -> (u64, u8) {
+        (self.current.tick, self.channel)
+    }
 }
 
 impl PartialEq for HeapEntry<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.key() == other.key()
     }
 }
 impl Eq for HeapEntry<'_> {}
@@ -136,15 +148,8 @@ impl PartialOrd for HeapEntry<'_> {
 }
 impl Ord for HeapEntry<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed on every key: BinaryHeap is a max-heap, the merge
-        // needs the min.
-        other
-            .current
-            .time_s
-            .partial_cmp(&self.current.time_s)
-            .expect("event times are finite")
-            .then_with(|| other.channel.cmp(&self.channel))
-            .then_with(|| other.index.cmp(&self.index))
+        // Reversed: BinaryHeap is a max-heap, the merge needs the min.
+        other.key().cmp(&self.key())
     }
 }
 
@@ -163,7 +168,6 @@ impl<'a> HeapMerge<'a> {
                 heap.push(HeapEntry {
                     current: first,
                     channel: ch as u8,
-                    index: 0,
                     rest,
                 });
             }
@@ -185,33 +189,11 @@ impl Iterator for HeapMerge<'_> {
             self.heap.push(HeapEntry {
                 current: next,
                 channel: top.channel,
-                index: top.index + 1,
                 rest,
             });
         }
         Some(out)
     }
-}
-
-/// The original collect-all-then-sort merge, kept as the reference
-/// implementation (and the fallback for non-time-ordered streams).
-fn merge_by_sort(streams: &[&EventStream]) -> Vec<AddressedEvent> {
-    let mut all: Vec<AddressedEvent> = Vec::new();
-    for (ch, s) in streams.iter().enumerate() {
-        for e in s.iter() {
-            all.push(AddressedEvent {
-                channel: ch as u8,
-                event: *e,
-            });
-        }
-    }
-    all.sort_by(|a, b| {
-        a.event
-            .time_s
-            .partial_cmp(&b.event.time_s)
-            .expect("event times are finite")
-    });
-    all
 }
 
 /// Splits a merged AER stream back into per-channel [`EventStream`]s
@@ -272,23 +254,43 @@ pub fn address_bits(n_channels: usize) -> u8 {
 mod tests {
     use super::*;
 
-    fn stream(times: &[f64]) -> EventStream {
-        let evs: Vec<Event> = times
+    /// A 2 kHz stream with events at `ticks`.
+    fn stream(ticks: &[u64]) -> EventStream {
+        let evs: Vec<Event> = ticks
             .iter()
-            .enumerate()
-            .map(|(i, &t)| Event {
-                tick: i as u64,
-                time_s: t,
+            .map(|&tick| Event {
+                tick,
                 vth_code: Some(3),
             })
             .collect();
         EventStream::new(evs, 2000.0, 1.0)
     }
 
+    /// The collect-all-then-stable-sort merge: the reference the heap
+    /// merge must reproduce exactly.
+    fn merge_by_sort(streams: &[&EventStream]) -> Vec<AddressedEvent> {
+        let mut all: Vec<AddressedEvent> = Vec::new();
+        for (ch, s) in streams.iter().enumerate() {
+            for e in s.iter() {
+                all.push(AddressedEvent {
+                    channel: ch as u8,
+                    event: *e,
+                });
+            }
+        }
+        all.sort_by_key(|ae| ae.event.tick);
+        all
+    }
+
+    #[test]
+    fn addressed_events_are_address_plus_event() {
+        assert_eq!(std::mem::size_of::<AddressedEvent>(), 24);
+    }
+
     #[test]
     fn non_overlapping_channels_merge_losslessly() {
-        let a = stream(&[0.1, 0.3]);
-        let b = stream(&[0.2, 0.4]);
+        let a = stream(&[200, 600]);
+        let b = stream(&[400, 800]);
         let rep = merge_channels(&[a, b], 0.01);
         assert_eq!(rep.merged.len(), 4);
         assert_eq!(rep.collisions, 0);
@@ -296,13 +298,13 @@ mod tests {
         assert!(rep
             .merged
             .windows(2)
-            .all(|w| w[0].event.time_s <= w[1].event.time_s));
+            .all(|w| w[0].event.tick <= w[1].event.tick));
     }
 
     #[test]
     fn contention_drops_later_event() {
-        let a = stream(&[0.100]);
-        let b = stream(&[0.1001]);
+        let a = stream(&[200]);
+        let b = stream(&[201]);
         let rep = merge_channels(&[a, b], 0.01);
         assert_eq!(rep.merged.len(), 1);
         assert_eq!(rep.collisions, 1);
@@ -311,7 +313,7 @@ mod tests {
 
     #[test]
     fn zero_dead_time_never_collides() {
-        let a = stream(&[0.1, 0.1, 0.1]);
+        let a = stream(&[200, 200, 200]);
         let rep = merge_channels(&[a], 0.0);
         assert_eq!(rep.collisions, 0);
         assert_eq!(rep.merged.len(), 3);
@@ -319,8 +321,8 @@ mod tests {
 
     #[test]
     fn demux_restores_channels() {
-        let a = stream(&[0.1, 0.5]);
-        let b = stream(&[0.3]);
+        let a = stream(&[200, 1000]);
+        let b = stream(&[600]);
         let rep = merge_channels(&[a, b], 0.001);
         let back = demux(&rep.merged, 2, 2000.0, 1.0);
         assert_eq!(back[0].len(), 2);
@@ -329,25 +331,32 @@ mod tests {
 
     #[test]
     fn heap_merge_is_bit_identical_to_sort_merge() {
-        // Many channels, colliding timestamps, ragged lengths: the k-way
-        // heap path must reproduce the stable sort exactly, including
-        // tie order (channel, then within-channel index).
+        // Many channels, cross-channel tick ties, ragged lengths: the
+        // k-way heap path must reproduce the stable sort exactly,
+        // including tie order (channel, then within-channel index).
         let mut streams = Vec::new();
         let mut x = 0x9E37u64;
         for ch in 0..24u64 {
-            let mut times = Vec::new();
-            let mut t = 0.0f64;
+            let mut ticks = Vec::new();
+            let mut tick = 0u64;
             for _ in 0..(ch % 7) * 5 {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                // quantised steps force exact cross-channel ties
-                t += ((x % 4) as f64) * 0.001;
-                times.push(t);
+                // steps of 0..=3 ticks force repeats and exact
+                // cross-channel ties
+                tick += x % 4;
+                ticks.push(tick);
             }
-            streams.push(stream(&times));
+            streams.push(stream(&ticks));
         }
         let refs: Vec<&EventStream> = streams.iter().collect();
+        assert!(
+            refs.iter()
+                .any(|s| s.events().windows(2).any(|w| w[0].tick == w[1].tick)),
+            "the fixture must hold within-channel tick repeats"
+        );
+        // none, exactly one tick, and twenty ticks
         for dead_time in [0.0, 0.0005, 0.01] {
             let sorted = apply_dead_time(merge_by_sort(&refs).into_iter(), &refs, dead_time);
             let merged = merge_channel_refs(&refs, dead_time);
@@ -356,37 +365,24 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_stream_falls_back_to_the_sort_path() {
-        // EventStream enforces tick order, not time order — build a
-        // stream whose times run backwards and check both paths agree.
-        let evs = vec![
-            Event {
-                tick: 0,
-                time_s: 0.9,
-                vth_code: None,
-            },
-            Event {
+    #[should_panic(expected = "one AER link carries one tick rate")]
+    fn mixed_rate_merge_rejected() {
+        let fast = stream(&[1, 2]);
+        let slow = EventStream::new(
+            vec![Event {
                 tick: 1,
-                time_s: 0.1,
                 vth_code: None,
-            },
-        ];
-        let weird = EventStream::new(evs, 1000.0, 1.0);
-        let ordered = stream(&[0.2, 0.5]);
-        let refs: Vec<&EventStream> = vec![&weird, &ordered];
-        let merged = merge_channel_refs(&refs, 0.0);
-        let sorted = apply_dead_time(merge_by_sort(&refs).into_iter(), &refs, 0.0);
-        assert_eq!(merged, sorted);
-        assert!(merged
-            .merged
-            .windows(2)
-            .all(|w| w[0].event.time_s <= w[1].event.time_s));
+            }],
+            1000.0,
+            1.0,
+        );
+        let _ = merge_channels(&[fast, slow], 0.0);
     }
 
     #[test]
     #[should_panic(expected = "AER addresses are 8 bits")]
     fn more_than_256_channels_rejected() {
-        let streams: Vec<EventStream> = (0..257).map(|_| stream(&[0.1])).collect();
+        let streams: Vec<EventStream> = (0..257).map(|_| stream(&[200])).collect();
         let _ = merge_channels(&streams, 0.001);
     }
 

@@ -115,7 +115,6 @@ impl EventLink {
                 };
                 out.push(Event {
                     tick: (t * events.tick_rate_hz()) as u64,
-                    time_s: t,
                     vth_code: code,
                 });
                 inserted += 1;
@@ -292,7 +291,6 @@ mod tests {
         let ev: Vec<Event> = (0..n)
             .map(|i| Event {
                 tick: i as u64 * 10,
-                time_s: i as f64 * 0.005,
                 vth_code: if with_codes {
                     Some((i % 16) as u8)
                 } else {

@@ -34,9 +34,10 @@ pub struct EventPattern {
 }
 
 impl EventPattern {
-    /// Builds the pattern for `event`, encoding `vth_bits` bits of
-    /// threshold code when present.
-    pub fn for_event(event: &Event, vth_bits: u8) -> Self {
+    /// Builds the pattern for `event` at `time_s` (the owning stream's
+    /// [`EventStream::time_of`]), encoding `vth_bits` bits of threshold
+    /// code when present.
+    pub fn for_event(event: &Event, time_s: f64, vth_bits: u8) -> Self {
         let mut symbols = vec![Symbol::Pulse];
         if let Some(code) = event.vth_code {
             for b in (0..vth_bits).rev() {
@@ -47,10 +48,7 @@ impl EventPattern {
                 });
             }
         }
-        EventPattern {
-            symbols,
-            time_s: event.time_s,
-        }
+        EventPattern { symbols, time_s }
     }
 
     /// Number of symbol slots this pattern occupies on air.
@@ -82,7 +80,7 @@ impl EventPattern {
 pub fn symbolize_events(events: &EventStream, vth_bits: u8) -> Vec<EventPattern> {
     events
         .iter()
-        .map(|e| EventPattern::for_event(e, vth_bits))
+        .map(|e| EventPattern::for_event(e, events.time_of(e), vth_bits))
         .collect()
 }
 
@@ -156,14 +154,13 @@ mod tests {
     fn ev(code: Option<u8>) -> Event {
         Event {
             tick: 0,
-            time_s: 0.0,
             vth_code: code,
         }
     }
 
     #[test]
     fn datc_pattern_is_five_symbols() {
-        let p = EventPattern::for_event(&ev(Some(0b1010)), 4);
+        let p = EventPattern::for_event(&ev(Some(0b1010)), 0.0, 4);
         assert_eq!(p.len(), 5);
         assert_eq!(p.symbols[0], Symbol::Pulse); // marker
         assert_eq!(
@@ -179,7 +176,7 @@ mod tests {
 
     #[test]
     fn atc_pattern_is_one_symbol() {
-        let p = EventPattern::for_event(&ev(None), 4);
+        let p = EventPattern::for_event(&ev(None), 0.0, 4);
         assert_eq!(p.len(), 1);
         assert_eq!(p.decode_code(), None);
     }
@@ -187,7 +184,7 @@ mod tests {
     #[test]
     fn code_roundtrips_through_pattern() {
         for code in 0..16u8 {
-            let p = EventPattern::for_event(&ev(Some(code)), 4);
+            let p = EventPattern::for_event(&ev(Some(code)), 0.0, 4);
             assert_eq!(p.decode_code(), Some(code));
         }
     }
@@ -195,9 +192,9 @@ mod tests {
     #[test]
     fn pulse_count_counts_only_pulses() {
         let patterns = vec![
-            EventPattern::for_event(&ev(Some(0b1111)), 4), // 5 pulses
-            EventPattern::for_event(&ev(Some(0b0000)), 4), // 1 pulse
-            EventPattern::for_event(&ev(None), 4),         // 1 pulse
+            EventPattern::for_event(&ev(Some(0b1111)), 0.0, 4), // 5 pulses
+            EventPattern::for_event(&ev(Some(0b0000)), 0.0, 4), // 1 pulse
+            EventPattern::for_event(&ev(None), 0.0, 4),         // 1 pulse
         ];
         assert_eq!(pulse_count(&patterns), 7);
     }
@@ -223,13 +220,11 @@ mod tests {
         let events = EventStream::new(
             vec![
                 Event {
-                    tick: 0,
-                    time_s: 0.1,
+                    tick: 200,
                     vth_code: Some(3),
                 },
                 Event {
-                    tick: 5,
-                    time_s: 0.2,
+                    tick: 400,
                     vth_code: Some(9),
                 },
             ],
@@ -240,6 +235,7 @@ mod tests {
         assert_eq!(pats.len(), 2);
         assert_eq!(pats[0].decode_code(), Some(3));
         assert_eq!(pats[1].decode_code(), Some(9));
+        assert_eq!(pats[1].time_s, events.time_of(&events.events()[1]));
         // total symbols = 2 × 5, matching EventStream::symbol_count
         let total: usize = pats.iter().map(|p| p.len()).sum();
         assert_eq!(total as u64, events.symbol_count(4));

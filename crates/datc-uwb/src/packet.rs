@@ -183,7 +183,6 @@ impl SpikeEncoder for PacketTx {
         let events: Vec<Event> = (0..packets.len())
             .map(|i| Event {
                 tick: i as u64,
-                time_s: i as f64 / fs,
                 vth_code: None,
             })
             .collect();

@@ -175,16 +175,16 @@ impl EventBatch {
         std::mem::take(self)
     }
 
-    /// Materialises the batch as timestamped
-    /// [`AddressedEvent`]s, deriving
-    /// `time = tick * tick_period_s` exactly as the tick-exact decode
-    /// contract requires.
-    pub fn materialize_into(&self, tick_period_s: f64, out: &mut Vec<AddressedEvent>) {
+    /// Materialises the batch as [`AddressedEvent`]s (row form).
+    pub fn materialize_into(&self, out: &mut Vec<AddressedEvent>) {
         out.reserve(self.len());
         for i in 0..self.len() {
             out.push(AddressedEvent {
                 channel: self.addrs[i],
-                event: Event::at_tick(self.ticks[i], tick_period_s, self.code(i)),
+                event: Event {
+                    tick: self.ticks[i],
+                    vth_code: self.code(i),
+                },
             });
         }
     }
@@ -253,18 +253,30 @@ mod tests {
     }
 
     #[test]
-    fn materialization_matches_at_tick_exactly() {
-        let period = 1.0 / 2000.0;
+    fn materialization_keeps_every_column() {
         let mut batch = EventBatch::new();
         batch.push(4, 12345, Some(9));
+        batch.push(5, 12346, None);
         let mut out = Vec::new();
-        batch.materialize_into(period, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].channel, 4);
+        batch.materialize_into(&mut out);
         assert_eq!(
-            out[0].event.time_s.to_bits(),
-            Event::at_tick(12345, period, Some(9)).time_s.to_bits()
+            out,
+            vec![
+                AddressedEvent {
+                    channel: 4,
+                    event: Event {
+                        tick: 12345,
+                        vth_code: Some(9)
+                    }
+                },
+                AddressedEvent {
+                    channel: 5,
+                    event: Event {
+                        tick: 12346,
+                        vth_code: None
+                    }
+                },
+            ]
         );
-        assert_eq!(out[0].event.vth_code, Some(9));
     }
 }

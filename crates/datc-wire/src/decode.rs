@@ -19,8 +19,10 @@
 //!   session nonce (a CRC-8 of the HELLO, see
 //!   [`SessionHeader::nonce`]); a frame whose nonce disagrees with the
 //!   decoded HELLO is counted as *foreign* and dropped instead of
-//!   polluting the stream. Revision-1 DATA frames (no nonce) are still
-//!   accepted.
+//!   polluting the stream. Revision-1 DATA frames (type 0x02, no
+//!   nonce) are no longer decoded: like any CRC-valid frame of unknown
+//!   type they are skipped whole, and their events are booked as loss
+//!   through the index gap they leave.
 //!
 //! The BYE frame closes the books: it carries per-channel sent totals,
 //! turning the receiver's tallies into exact per-channel loss figures.
@@ -29,6 +31,7 @@ use crate::batch::EventBatch;
 use crate::frame::{parse_frame, FrameType, ParseOutcome};
 use crate::packet::{decode_data_into_with, ByeSummary, FeedbackSummary, SessionHeader};
 use crate::varint::VarintPolicy;
+use datc_core::event::tick_to_seconds;
 use datc_uwb::aer::AddressedEvent;
 use std::collections::BTreeMap;
 
@@ -89,15 +92,6 @@ pub struct WireStats {
     /// HELLO — traffic from another session leaking in over a reused
     /// transport address.
     pub foreign_frames: u64,
-    /// Revision-1 DATA frames decoded (no session nonce). Legacy
-    /// traffic from [`Packetizer::with_legacy_data_frames`]
-    /// (deprecated): it still carries the reused-address
-    /// misattribution hazard DATA-V2 closed — monitor this counter to
-    /// find senders that need upgrading.
-    ///
-    /// [`Packetizer::with_legacy_data_frames`]:
-    ///     crate::packet::Packetizer::with_legacy_data_frames
-    pub legacy_frames: u64,
     /// Events delivered to the application, in time order.
     pub events_decoded: u64,
     /// Events known lost: declared gaps, plus — once the BYE closes the
@@ -136,7 +130,6 @@ impl WireStats {
         self.malformed_frames += other.malformed_frames;
         self.orphan_frames += other.orphan_frames;
         self.foreign_frames += other.foreign_frames;
-        self.legacy_frames += other.legacy_frames;
         self.events_decoded += other.events_decoded;
         self.events_lost += other.events_lost;
         self.gaps += other.gaps;
@@ -181,7 +174,6 @@ impl WireStats {
             malformed_frames: 0,
             orphan_frames: 0,
             foreign_frames: 0,
-            legacy_frames: 0,
             events_decoded: 0,
             events_lost: 0,
             gaps: 0,
@@ -212,8 +204,6 @@ pub struct WireCounters {
     pub orphan_frames: u64,
     /// DATA-V2 frames rejected for a foreign session nonce.
     pub foreign_frames: u64,
-    /// Revision-1 DATA frames decoded.
-    pub legacy_frames: u64,
     /// Events delivered to the application.
     pub events_decoded: u64,
     /// Events known lost.
@@ -250,7 +240,7 @@ struct PendingPacket {
 /// let events: Vec<AddressedEvent> = (0..10)
 ///     .map(|i| AddressedEvent {
 ///         channel: (i % 2) as u8,
-///         event: Event::at_tick(i * 50, header.tick_period_s, Some(3)),
+///         event: Event { tick: i * 50, vth_code: Some(3) },
 ///     })
 ///     .collect();
 /// let wire = encode_session(header, &events);
@@ -300,7 +290,6 @@ pub struct StreamDecoder {
     malformed_frames: u64,
     orphan_frames: u64,
     foreign_frames: u64,
-    legacy_frames: u64,
     events_decoded: u64,
     events_lost: u64,
     gaps: u64,
@@ -352,7 +341,6 @@ impl StreamDecoder {
             malformed_frames: 0,
             orphan_frames: 0,
             foreign_frames: 0,
-            legacy_frames: 0,
             events_decoded: 0,
             events_lost: 0,
             gaps: 0,
@@ -469,13 +457,6 @@ impl StreamDecoder {
                     self.frames += 1;
                     match ftype {
                         FrameType::Hello => self.on_hello(payload),
-                        FrameType::Data => {
-                            // Count revision-1 traffic here, not in
-                            // on_data: the V2 path delegates to
-                            // on_data after its nonce check.
-                            self.legacy_frames += 1;
-                            self.on_data(payload);
-                        }
                         FrameType::DataV2 => self.on_data_v2(payload),
                         FrameType::Bye => self.on_bye(payload),
                         // FEEDBACK travels receiver→sender; one looping
@@ -503,15 +484,11 @@ impl StreamDecoder {
 
     /// Moves all released events (time-ordered) into `out`, appending.
     ///
-    /// Compatibility drain: materialises
-    /// [`AddressedEvent`]s (with their
-    /// bit-exact `tick * tick_period_s` timestamps) from the internal
-    /// column batch. Hot consumers use
+    /// Compatibility drain: materialises [`AddressedEvent`]s from the
+    /// internal column batch. Hot consumers use
     /// [`drain_batch`](StreamDecoder::drain_batch) instead.
     pub fn drain_events(&mut self, out: &mut Vec<AddressedEvent>) {
-        if let Some(h) = self.session {
-            self.out.materialize_into(h.tick_period_s, out);
-        }
+        self.out.materialize_into(out);
         self.out.clear();
     }
 
@@ -558,7 +535,6 @@ impl StreamDecoder {
             malformed_frames: self.malformed_frames,
             orphan_frames: self.orphan_frames,
             foreign_frames: self.foreign_frames,
-            legacy_frames: self.legacy_frames,
             events_decoded: self.events_decoded,
             events_lost: self.events_lost,
             gaps: self.gaps,
@@ -582,7 +558,6 @@ impl StreamDecoder {
             malformed_frames: self.malformed_frames,
             orphan_frames: self.orphan_frames,
             foreign_frames: self.foreign_frames,
-            legacy_frames: self.legacy_frames,
             events_decoded: self.events_decoded,
             events_lost: self.events_lost,
             gaps: self.gaps,
@@ -800,10 +775,9 @@ impl StreamDecoder {
         }
         // Ticks are non-decreasing within one packet (the delta
         // encoding cannot step backwards), so the last tick carries the
-        // packet's maximum timestamp: `tick * period` here is exactly
-        // the `time_s` the materialised events would report.
+        // packet's maximum time.
         if let Some(&last) = batch.ticks().last() {
-            let t = last as f64 * tick_period_s;
+            let t = tick_to_seconds(last, tick_period_s);
             if t > self.watermark_s {
                 self.watermark_s = t;
             }
@@ -826,7 +800,10 @@ mod tests {
         let events: Vec<AddressedEvent> = (0..n_events)
             .map(|i| AddressedEvent {
                 channel: (i % 4) as u8,
-                event: Event::at_tick(i * 13, header.tick_period_s, Some((i % 16) as u8)),
+                event: Event {
+                    tick: i * 13,
+                    vth_code: Some((i % 16) as u8),
+                },
             })
             .collect();
         let mut tx = Packetizer::new(header).with_events_per_frame(per_frame);
@@ -1025,7 +1002,7 @@ mod tests {
         // packets, and overlap between a parked packet and the
         // in-order path.
         use crate::frame::{encode_frame, FrameType};
-        use crate::packet::{encode_data, WireEvent};
+        use crate::packet::{encode_data_v2, WireEvent};
 
         let header = SessionHeader::new(1, 1, 2000.0, 10.0);
         let forged = |seq: u16, first: u64, ticks: std::ops::Range<u64>| {
@@ -1036,7 +1013,11 @@ mod tests {
                     code: None,
                 })
                 .collect();
-            encode_frame(FrameType::Data, seq, &encode_data(first, &events))
+            encode_frame(
+                FrameType::DataV2,
+                seq,
+                &encode_data_v2(header.nonce(), first, &events),
+            )
         };
 
         // parked-vs-parked overlap, resolved at end-of-stream
@@ -1063,47 +1044,56 @@ mod tests {
         // released events stayed time-ordered (the watermark contract)
         let mut out = Vec::new();
         rx.drain_events(&mut out);
-        assert!(out
-            .windows(2)
-            .all(|w| w[0].event.time_s <= w[1].event.time_s));
+        assert!(out.windows(2).all(|w| w[0].event.tick <= w[1].event.tick));
     }
 
     #[test]
-    fn legacy_revision_1_data_frames_are_still_accepted() {
-        let header = SessionHeader::new(11, 4, 2000.0, 30.0);
-        let events: Vec<AddressedEvent> = (0..64)
-            .map(|i| AddressedEvent {
-                channel: (i % 4) as u8,
-                event: Event::at_tick(i * 13, header.tick_period_s, Some((i % 16) as u8)),
+    fn revision_1_data_frame_is_skipped_whole_and_booked_as_loss() {
+        // A CRC-valid type-0x02 frame (revision-1 DATA, no nonce) in
+        // mid-stream: an unknown type, so the scanner skips it whole.
+        // Its events never arrive, and the next frame's index exposes
+        // them as an exact gap.
+        use crate::frame::SYNC;
+        use crate::packet::{encode_data, WireEvent};
+        use datc_uwb::crc::crc16_ccitt;
+
+        let (_, frames, events) = session_frames(40, 10);
+        let rev1_events: Vec<WireEvent> = events[10..20]
+            .iter()
+            .map(|ae| WireEvent {
+                addr: ae.channel,
+                tick: ae.event.tick,
+                code: ae.event.vth_code,
             })
             .collect();
-        let mut tx = Packetizer::new(header)
-            .with_events_per_frame(16)
-            .with_legacy_data_frames();
-        let mut rx = StreamDecoder::new();
-        rx.push_bytes(&tx.hello());
-        for f in tx.data_frames(&events) {
-            rx.push_bytes(&f);
-        }
-        rx.push_bytes(&tx.bye());
-        assert_eq!(decoded(&mut rx), events);
-        let s = rx.stats();
-        assert_eq!(s.events_lost, 0);
-        assert_eq!(s.foreign_frames, 0);
-        // Revision-1 traffic is flagged so operators can hunt down
-        // senders still exposed to the reused-address hazard.
-        assert_eq!(s.legacy_frames, 4, "one per DATA frame");
-    }
+        let payload = encode_data(10, &rev1_events);
+        let mut rev1 = SYNC.to_vec();
+        rev1.push(0x02);
+        rev1.extend_from_slice(&2u16.to_le_bytes());
+        rev1.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+        rev1.extend_from_slice(&payload);
+        let crc = crc16_ccitt(&rev1[2..]);
+        rev1.extend_from_slice(&crc.to_le_bytes());
 
-    #[test]
-    fn v2_data_frames_do_not_count_as_legacy() {
-        let (_, frames, events) = session_frames(40, 10);
+        // frames: HELLO, DATA 0..10, DATA 10..20, DATA 20..30, DATA 30..40, BYE
         let mut rx = StreamDecoder::new();
-        for f in &frames {
-            rx.push_bytes(f);
+        for (k, f) in frames.iter().enumerate() {
+            if k == 2 {
+                rx.push_bytes(&rev1);
+            } else {
+                rx.push_bytes(f);
+            }
         }
-        assert_eq!(decoded(&mut rx), events);
-        assert_eq!(rx.stats().legacy_frames, 0);
+        let mut expected = events[..10].to_vec();
+        expected.extend_from_slice(&events[20..]);
+        assert_eq!(decoded(&mut rx), expected);
+        let s = rx.stats();
+        assert_eq!(s.crc_failures, 0, "the frame is valid, just unknown");
+        assert_eq!(s.resync_bytes, rev1.len() as u64, "skipped whole");
+        assert_eq!(s.malformed_frames, 0);
+        assert_eq!(s.events_lost, 10);
+        assert_eq!(s.gaps, 1);
+        assert!(s.closed);
     }
 
     #[test]
@@ -1118,7 +1108,10 @@ mod tests {
         let foreign_events: Vec<AddressedEvent> = (0..20)
             .map(|i| AddressedEvent {
                 channel: (i % 4) as u8,
-                event: Event::at_tick(i * 17, foreign_header.tick_period_s, None),
+                event: Event {
+                    tick: i * 17,
+                    vth_code: None,
+                },
             })
             .collect();
         let foreign_frames = foreign_tx.data_frames(&foreign_events);
@@ -1158,7 +1151,7 @@ mod tests {
 
     #[test]
     fn drain_batch_and_drain_events_agree() {
-        let (header, frames, events) = session_frames(123, 16);
+        let (_, frames, events) = session_frames(123, 16);
         let mut rx_batch = StreamDecoder::new();
         let mut rx_events = StreamDecoder::new();
         for f in &frames {
@@ -1168,7 +1161,7 @@ mod tests {
         let mut batch = EventBatch::new();
         rx_batch.drain_batch(&mut batch);
         let mut materialized = Vec::new();
-        batch.materialize_into(header.tick_period_s, &mut materialized);
+        batch.materialize_into(&mut materialized);
         assert_eq!(materialized, decoded(&mut rx_events));
         assert_eq!(materialized, events);
         assert_eq!(rx_batch.stats(), rx_events.stats());
@@ -1182,7 +1175,10 @@ mod tests {
         let events: Vec<AddressedEvent> = (0..200u64)
             .map(|i| AddressedEvent {
                 channel: (i % 2) as u8,
-                event: Event::at_tick(i * i * 9973, header.tick_period_s, Some((i % 32) as u8)),
+                event: Event {
+                    tick: i * i * 9973,
+                    vth_code: Some((i % 32) as u8),
+                },
             })
             .collect();
         let mut tx = Packetizer::new(header).with_events_per_frame(13);

@@ -495,7 +495,7 @@ pub type SinkFactory = Arc<dyn Fn(u64) -> Box<dyn SessionSink> + Send + Sync>;
 /// let events: Vec<AddressedEvent> = (0..40)
 ///     .map(|i| AddressedEvent {
 ///         channel: 0,
-///         event: Event::at_tick(i * 50, header.tick_period_s, Some(3)),
+///         event: Event { tick: i * 50, vth_code: Some(3) },
 ///     })
 ///     .collect();
 /// let mut tx = SessionSender::connect(hub.local_addr(), header).unwrap();
@@ -1625,7 +1625,10 @@ mod tests {
         let events: Vec<AddressedEvent> = (0..150)
             .map(|i| AddressedEvent {
                 channel: (i % 2) as u8,
-                event: Event::at_tick(i * 17, header.tick_period_s, Some((i % 16) as u8)),
+                event: Event {
+                    tick: i * 17,
+                    vth_code: Some((i % 16) as u8),
+                },
             })
             .collect();
         let mut tx = SessionSender::connect(hub.local_addr(), header).unwrap();
@@ -1656,11 +1659,10 @@ mod tests {
                     let events: Vec<AddressedEvent> = (0..60)
                         .map(|i| AddressedEvent {
                             channel: 0,
-                            event: Event::at_tick(
-                                i * 31 + u64::from(id),
-                                header.tick_period_s,
-                                None,
-                            ),
+                            event: Event {
+                                tick: i * 31 + u64::from(id),
+                                vth_code: None,
+                            },
                         })
                         .collect();
                     let mut tx = SessionSender::connect(addr, header).unwrap();
@@ -1698,7 +1700,10 @@ mod tests {
         let events: Vec<AddressedEvent> = (0..400)
             .map(|i| AddressedEvent {
                 channel: 0,
-                event: Event::at_tick(i * 9, header.tick_period_s, Some(2)),
+                event: Event {
+                    tick: i * 9,
+                    vth_code: Some(2),
+                },
             })
             .collect();
         let mut tx = SessionSender::connect(hub.local_addr(), header).unwrap();
@@ -1769,7 +1774,10 @@ mod tests {
             .step_by(40)
             .map(|t| AddressedEvent {
                 channel: 0,
-                event: Event::at_tick(t, header.tick_period_s, Some((t % 16) as u8)),
+                event: Event {
+                    tick: t,
+                    vth_code: Some((t % 16) as u8),
+                },
             })
             .collect();
 
@@ -1888,7 +1896,10 @@ mod tests {
             let events: Vec<AddressedEvent> = (0..40)
                 .map(|i| AddressedEvent {
                     channel: 0,
-                    event: Event::at_tick(i * 31, header.tick_period_s, None),
+                    event: Event {
+                        tick: i * 31,
+                        vth_code: None,
+                    },
                 })
                 .collect();
             let _ = tx.send_events(&events);
@@ -1915,7 +1926,7 @@ mod tests {
         let mut raw = TcpStream::connect(hub.local_addr()).unwrap();
         raw.write_all(&pk.hello()).unwrap();
         // A flood of CRC-broken frames: flip the last CRC byte.
-        let mut bad = crate::frame::encode_frame(FrameType::Data, 1, &[0u8; 16]);
+        let mut bad = crate::frame::encode_frame(FrameType::DataV2, 1, &[0u8; 16]);
         *bad.last_mut().unwrap() ^= 0xFF;
         for _ in 0..64 {
             // The hub hangs up mid-flood once the budget trips.
@@ -2003,7 +2014,10 @@ mod tests {
                 let events: Vec<AddressedEvent> = (0..120)
                     .map(|i| AddressedEvent {
                         channel: (i % 2) as u8,
-                        event: Event::at_tick(i * 13 + u64::from(id), header.tick_period_s, None),
+                        event: Event {
+                            tick: i * 13 + u64::from(id),
+                            vth_code: None,
+                        },
                     })
                     .collect();
                 let mut tx = SessionSender::connect(hub.local_addr(), header).unwrap();
@@ -2035,7 +2049,10 @@ mod tests {
         let events: Vec<AddressedEvent> = (0..2000)
             .map(|i| AddressedEvent {
                 channel: (i % 2) as u8,
-                event: Event::at_tick(i * 17, header.tick_period_s, Some((i % 16) as u8)),
+                event: Event {
+                    tick: i * 17,
+                    vth_code: Some((i % 16) as u8),
+                },
             })
             .collect();
         let retry = RetryPolicy {

@@ -58,10 +58,11 @@
 //! ## Guarantees
 //!
 //! * **Exact round trip**: encode → packetize → decode reproduces the
-//!   original addressed-event sequence bit-for-bit (timestamps
-//!   included — the HELLO carries the transmitter's tick period as raw
-//!   IEEE-754 bits), property-tested for any channel count ≤ 256 and
-//!   arbitrary tick patterns.
+//!   original addressed-event sequence exactly (and the HELLO carries
+//!   the transmitter's tick period as raw IEEE-754 bits, so event
+//!   times derived at the receiver match bit-for-bit),
+//!   property-tested for any channel count ≤ 256 and arbitrary tick
+//!   patterns.
 //! * **Exact loss accounting**: every DATA packet carries the
 //!   cumulative index of its first event, and the BYE carries
 //!   per-channel sent totals, so the decoder reports precisely how many
@@ -82,7 +83,7 @@
 //! let events: Vec<AddressedEvent> = (0..200)
 //!     .map(|i| AddressedEvent {
 //!         channel: (i % 2) as u8,
-//!         event: Event::at_tick(i * 17, header.tick_period_s, Some(7)),
+//!         event: Event { tick: i * 17, vth_code: Some(7) },
 //!     })
 //!     .collect();
 //!

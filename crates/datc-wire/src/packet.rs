@@ -6,7 +6,8 @@
 //! (1–256), then the session timebase as raw IEEE-754 bit patterns —
 //! `tick_rate_hz`, `tick_period_s`, `duration_s` (each `u64 LE`).
 //! Carrying the period *bits* (not recomputing `1/rate` at the receiver)
-//! is what makes decoded timestamps bit-identical to the encoder's.
+//! is what makes event times derived at the receiver bit-identical to
+//! the transmitter's.
 //!
 //! **DATA** (variable): `first_index:varint` (cumulative event index of
 //! the first event in the session — the loss-accounting backbone),
@@ -53,8 +54,8 @@ use crate::frame::{encode_frame, FrameType, HEADER_LEN, MAX_PAYLOAD};
 use crate::varint::{read_varint, read_varint_with, write_varint, VarintPolicy};
 use datc_uwb::aer::AddressedEvent;
 
-/// Everything a receiver needs to turn tick-domain events back into
-/// timestamped [`Event`](datc_core::Event)s, announced once per session.
+/// Everything a receiver needs to place tick-domain
+/// [`Event`](datc_core::Event)s in time, announced once per session.
 ///
 /// # Example
 ///
@@ -73,9 +74,10 @@ pub struct SessionHeader {
     pub n_channels: u16,
     /// The tick rate the `tick` fields count at, Hz.
     pub tick_rate_hz: f64,
-    /// Seconds per tick — the *exact* factor the transmitter multiplied
-    /// ticks by, so `time = tick * tick_period_s` reproduces its
-    /// timestamps bit-for-bit.
+    /// Seconds per tick — the *exact* factor the transmitter's
+    /// `EventStream::tick_period_s` applies, so
+    /// [`tick_to_seconds`](datc_core::event::tick_to_seconds) at this
+    /// period reproduces its event times bit-for-bit.
     pub tick_period_s: f64,
     /// Observation-window length, seconds.
     pub duration_s: f64,
@@ -510,7 +512,7 @@ impl FeedbackSummary {
 /// let events: Vec<AddressedEvent> = (0..100)
 ///     .map(|i| AddressedEvent {
 ///         channel: (i % 2) as u8,
-///         event: Event::at_tick(i * 7, header.tick_period_s, Some(3)),
+///         event: Event { tick: i * 7, vth_code: Some(3) },
 ///     })
 ///     .collect();
 /// let mut wire = tx.hello();
@@ -525,7 +527,6 @@ impl FeedbackSummary {
 pub struct Packetizer {
     header: SessionHeader,
     nonce: u8,
-    legacy_data: bool,
     seq: u16,
     next_index: u64,
     last_tick: Option<u64>,
@@ -544,7 +545,6 @@ impl Packetizer {
         Packetizer {
             header,
             nonce: header.nonce(),
-            legacy_data: false,
             seq: 0,
             next_index: 0,
             last_tick: None,
@@ -562,23 +562,6 @@ impl Packetizer {
         // plus ~22 bytes of indices and the V2 nonce byte.
         let cap = (MAX_PAYLOAD - 23) / 13;
         self.max_events_per_frame = n.clamp(1, cap);
-        self
-    }
-
-    /// Emits revision-1 DATA frames (no session nonce) instead of
-    /// DATA-V2 — for interoperating with, and testing against,
-    /// revision-1 receivers.
-    ///
-    /// **Deprecated — scheduled for removal.** Revision-1 frames carry
-    /// no session nonce, so on a reused peer address a reordered
-    /// session-tail datagram can be misattributed to the *next*
-    /// session's books (see the UDP module's
-    /// ["Known limits"](crate::udp#known-limits)). Keep this only
-    /// while revision-1 receivers are still being upgraded; receivers
-    /// count the exposure in
-    /// [`WireStats::legacy_frames`](crate::decode::WireStats::legacy_frames).
-    pub fn with_legacy_data_frames(mut self) -> Self {
-        self.legacy_data = true;
         self
     }
 
@@ -632,16 +615,9 @@ impl Packetizer {
                     }
                 })
                 .collect();
-            let (ftype, payload) = if self.legacy_data {
-                (FrameType::Data, encode_data(self.next_index, &wire_events))
-            } else {
-                (
-                    FrameType::DataV2,
-                    encode_data_v2(self.nonce, self.next_index, &wire_events),
-                )
-            };
+            let payload = encode_data_v2(self.nonce, self.next_index, &wire_events);
             self.next_index += wire_events.len() as u64;
-            frames.push(self.frame(ftype, &payload));
+            frames.push(self.frame(FrameType::DataV2, &payload));
         }
         frames
     }
@@ -785,7 +761,10 @@ mod tests {
         let events: Vec<AddressedEvent> = (0..25)
             .map(|i| AddressedEvent {
                 channel: (i % 3) as u8,
-                event: datc_core::Event::at_tick(i * 11, header.tick_period_s, None),
+                event: datc_core::Event {
+                    tick: i * 11,
+                    vth_code: None,
+                },
             })
             .collect();
         let frames = tx.data_frames(&events);
@@ -827,7 +806,10 @@ mod tests {
         let events: Vec<AddressedEvent> = (0..512)
             .map(|i| AddressedEvent {
                 channel: (i % 8) as u8,
-                event: datc_core::Event::at_tick(i * 20, header.tick_period_s, Some(7)),
+                event: datc_core::Event {
+                    tick: i * 20,
+                    vth_code: Some(7),
+                },
             })
             .collect();
         let bpe = bytes_per_event(&events, header);

@@ -21,6 +21,7 @@ use crate::decode::{StreamDecoder, WireStats};
 use crate::obs::SessionObs;
 use crate::packet::SessionHeader;
 use crate::sink::{ForceRing, SessionSink};
+use datc_core::event::tick_to_seconds;
 use datc_rx::online::{AnyOnlineReconstructor, OnlineReconSelect, OnlineReconstructor};
 use datc_uwb::aer::AddressedEvent;
 
@@ -127,7 +128,7 @@ impl SessionReport {
 /// let events: Vec<AddressedEvent> = (0..200)
 ///     .map(|i| AddressedEvent {
 ///         channel: (i % 2) as u8,
-///         event: Event::at_tick(i * 19, header.tick_period_s, Some(5)),
+///         event: Event { tick: i * 19, vth_code: Some(5) },
 ///     })
 ///     .collect();
 /// let wire = encode_session(header, &events);
@@ -369,17 +370,14 @@ impl SessionRx {
         if let Some(sink) = &mut self.sink {
             // Sinks keep the row-form API; materialise only for them.
             self.sink_scratch.clear();
-            self.scratch
-                .materialize_into(period, &mut self.sink_scratch);
+            self.scratch.materialize_into(&mut self.sink_scratch);
             sink.on_events(&self.sink_scratch);
         }
-        // `tick * period` is exactly the `time_s` the materialised
-        // events would carry (the bit-exact timestamp contract).
         for i in 0..self.scratch.len() {
             let addr = usize::from(self.scratch.addrs()[i]);
             if let Some(r) = self.recon.get_mut(addr) {
                 r.push_coded(
-                    self.scratch.ticks()[i] as f64 * period,
+                    tick_to_seconds(self.scratch.ticks()[i], period),
                     self.scratch.code(i),
                 );
             }
@@ -452,7 +450,10 @@ mod tests {
         (0..n)
             .map(|i| AddressedEvent {
                 channel: (i % u64::from(header.n_channels)) as u8,
-                event: Event::at_tick(i * 23, header.tick_period_s, Some((i % 16) as u8)),
+                event: Event {
+                    tick: i * 23,
+                    vth_code: Some((i % 16) as u8),
+                },
             })
             .collect()
     }

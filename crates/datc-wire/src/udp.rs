@@ -55,18 +55,7 @@
 //!   HELLO, [`SessionHeader::nonce`]): when a reused address hands over
 //!   from session A to session B, an A-tail datagram reordered *past*
 //!   B's HELLO is counted as a **foreign frame** and dropped instead of
-//!   being misattributed to B's books. Legacy revision-1 DATA frames
-//!   (no nonce) are still accepted for old transmitters, and for those
-//!   the misattribution corner remains **open**: an A-tail revision-1
-//!   datagram reordered past B's HELLO carries nothing tying it to A,
-//!   so it lands in B's books — the BYE grace window absorbs the
-//!   common tail reorder, everything else parks as a far-future hole
-//!   and is declared lost at close, and in the worst case (matching
-//!   index spans) A's events are silently credited to B. This is why
-//!   [`Packetizer::with_legacy_data_frames`] is deprecated: keep it
-//!   only while old receivers are being upgraded, and watch
-//!   [`WireStats::legacy_frames`](crate::decode::WireStats::legacy_frames)
-//!   to find the senders still exposed. The 8-bit nonce is a
+//!   being misattributed to B's books. The 8-bit nonce is a
 //!   misattribution guard, not an authenticator (1/256 collision odds
 //!   between unrelated sessions).
 //! * A session whose HELLO never arrives is unidentifiable: its DATA
@@ -1052,7 +1041,10 @@ mod tests {
         (0..n)
             .map(|i| AddressedEvent {
                 channel: (i % u64::from(header.n_channels)) as u8,
-                event: Event::at_tick(i * 21, header.tick_period_s, Some((i % 16) as u8)),
+                event: Event {
+                    tick: i * 21,
+                    vth_code: Some((i % 16) as u8),
+                },
             })
             .collect()
     }
@@ -1093,7 +1085,10 @@ mod tests {
                     let events: Vec<AddressedEvent> = (0..50)
                         .map(|i| AddressedEvent {
                             channel: 0,
-                            event: Event::at_tick(i * 37, header.tick_period_s, None),
+                            event: Event {
+                                tick: i * 37,
+                                vth_code: None,
+                            },
                         })
                         .collect();
                     let mut tx = UdpSessionSender::connect(addr, header).unwrap();
@@ -1831,7 +1826,7 @@ mod tests {
         socket.send(&packetizer.hello()).unwrap();
         // CRC-broken frames from a peer that already holds decoder
         // state: each one burns budget until the peer is quarantined.
-        let mut bad = crate::frame::encode_frame(crate::frame::FrameType::Data, 1, &[0u8; 16]);
+        let mut bad = crate::frame::encode_frame(crate::frame::FrameType::DataV2, 1, &[0u8; 16]);
         *bad.last_mut().unwrap() ^= 0xFF;
         for _ in 0..64 {
             socket.send(&bad).unwrap();

@@ -259,7 +259,10 @@ fn arb_session() -> impl Strategy<Value = (SessionHeader, Vec<AddressedEvent>)> 
                     tick += gap;
                     AddressedEvent {
                         channel: (u16::from(addr) % channels) as u8,
-                        event: Event::at_tick(tick, header.tick_period_s, has_code.then_some(code)),
+                        event: Event {
+                            tick,
+                            vth_code: has_code.then_some(code),
+                        },
                     }
                 })
                 .collect();

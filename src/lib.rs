@@ -25,7 +25,7 @@
 //!   counterpart;
 //! * [`obs`] — the lock-light metrics layer: [`Registry`](obs::Registry),
 //!   counters/gauges/log-scale histograms, Prometheus-text and JSON
-//!   exporters, and the stage-span clock — every layer above publishes
+//!   exporters — every layer above publishes
 //!   into it (`datc_fleet_*` from the engine, `datc_rx_*` /
 //!   `datc_session_*` / `datc_hub_*` / `datc_tx_*` from the wire);
 //! * [`rtl`] — the gate-level DTC, cell library, synthesis and power

@@ -74,7 +74,10 @@ fn run_session(
     let events: Vec<AddressedEvent> = (0..n_events)
         .map(|i| AddressedEvent {
             channel: (i % channels as usize) as u8,
-            event: Event::at_tick(i as u64 * 13 + 1, header.tick_period_s, Some(5)),
+            event: Event {
+                tick: i as u64 * 13 + 1,
+                vth_code: Some(5),
+            },
         })
         .collect();
 

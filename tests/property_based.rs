@@ -159,7 +159,7 @@ proptest! {
             .collect();
 
         let mut bank = BankStream::new(config, n).unwrap();
-        let mut sink = BankEventSink::new(config.clock_hz, n);
+        let mut sink = BankEventSink::new(n);
         let bank_ticks = bank.push_signals(&signals, &mut sink);
 
         for (c, s) in signals.iter().enumerate() {
@@ -212,7 +212,7 @@ proptest! {
                 .unwrap()
                 .with_simd_policy(simd)
                 .with_tiling(tiling);
-            let mut sink = BankEventSink::new(config.clock_hz, n);
+            let mut sink = BankEventSink::new(n);
             bank.push_signals(&signals, &mut sink);
             let (events, ones, _) = sink.into_parts();
             for c in 0..n {
@@ -331,8 +331,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, &t)| Event {
-                tick: (t * 2000.0) as u64 + i as u64, // keep ticks ordered
-                time_s: t,
+                tick: (t * 2000.0) as u64, // sorted times floor to ordered ticks
                 vth_code: Some((i % 15 + 1) as u8),
             })
             .collect();

@@ -78,7 +78,7 @@ fn gateway_loopback_serves_n_sessions_with_zero_loss() {
 #[test]
 fn wire_round_trip_preserves_fleet_event_streams_exactly() {
     // encode → packetize → decode → demux == the original per-channel
-    // streams, timestamps bit-for-bit.
+    // streams, ticks and codes exactly.
     let config = DatcConfig::paper().with_trace_level(TraceLevel::Events);
     let signals = semg_fleet(3, 1.5, 77);
     let fleet = FleetRunner::new(config, 3).unwrap().encode(&signals);
