@@ -3,18 +3,26 @@
 //!
 //! Architecture: one acceptor thread owns the listener and blocks in
 //! `accept`, so it wakes only when a connection arrives — no poll tick
-//! delays a session. Every accepted connection gets a worker thread
-//! running a [`SessionRx`] pipeline (decode → demux → online
-//! reconstruct) over the socket's byte stream; finished sessions land
-//! in a shared [`SessionTable`] the owner inspects with
-//! [`TelemetryHub::snapshot`]. Shutdown wakes the blocked acceptor with
-//! one connection of its own, which is dropped unserved; a small
-//! sweeper thread retires parked sessions whose resume window expired.
-//! The same table (and the same conn-id space) can be shared with a
-//! [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub), so one operator
-//! view covers both transports. The transmit side is [`SessionSender`]
-//! (one session per connection) plus the [`stream_fleet`] convenience
-//! that pushes a whole [`FleetOutput`] through one session.
+//! delays a session. Every accepted connection gets its own worker
+//! thread, so sessions decode and reconstruct in parallel. The worker
+//! peeks the connection's first frame, adopts the parked session its
+//! HELLO names or opens a fresh one, and streams the socket's bytes
+//! into that session's [`SessionRx`](crate::session::SessionRx)
+//! pipeline (decode → demux → online reconstruct). Opening a session,
+//! feeding it and retiring it into the shared [`SessionTable`] run
+//! through the same lifecycle code the
+//! [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub) drives for its
+//! peers, so both hubs build sinks, allocate connection ids and move
+//! the [`HubHealth`] tallies identically; this module keeps only the
+//! sockets, the threads and TCP's resume handshake. The owner inspects
+//! finished sessions with [`TelemetryHub::snapshot`]. Shutdown wakes the
+//! blocked acceptor with one connection of its own, which is dropped
+//! unserved; a small sweeper thread retires parked sessions whose resume
+//! window expired. The same table (and the same conn-id space) can be
+//! shared with a UDP hub, so one operator view covers both transports.
+//! The transmit side is [`SessionSender`] (one session per connection)
+//! plus the [`stream_fleet`] convenience that pushes a whole
+//! [`FleetOutput`] through one session.
 //!
 //! ## Degrading gracefully
 //!
@@ -55,9 +63,10 @@
 use crate::chaos::{self, ChaosLink, ChaosStats};
 use crate::decode::WireStats;
 use crate::frame::{parse_frame, FrameType, ParseOutcome};
-use crate::obs::{self, SessionObs, TxObs};
+use crate::hub::{End, LiveSession};
+use crate::obs::{self, TxObs};
 use crate::packet::{Packetizer, SessionHeader};
-use crate::session::{SessionReport, SessionRx, SessionRxConfig};
+use crate::session::{SessionReport, SessionRxConfig};
 use crate::sink::SessionSink;
 use datc_engine::FleetOutput;
 use datc_obs::{Counter, Gauge, Registry};
@@ -246,48 +255,77 @@ pub struct HubHealth {
     pub events_lost: u64,
 }
 
-/// The shared tallies behind [`HubHealth`] — registry counters, so the
-/// same relaxed atomics serve both the typed
-/// [`health`](SessionTable::health) view and the exporters. Each
-/// [`Counter`] is one relaxed `AtomicU64`, exactly what lived here
-/// before the registry migration, so `HubHealth` values are
-/// bit-identical to the pre-migration implementation.
-#[derive(Debug)]
-struct HealthCounters {
-    started: Counter,
-    finished: Counter,
-    resumed: Counter,
-    shed: Counter,
-    evicted: Counter,
-    quarantined: Counter,
-    foreign_frames: Counter,
-    decode_errors: Counter,
-    events_decoded: Counter,
-    events_lost: Counter,
-    in_flight: Gauge,
+/// The [`HubHealth`] tallies, in [`TALLY_SERIES`] order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tally {
+    Started,
+    Finished,
+    Resumed,
+    Shed,
+    Evicted,
+    Quarantined,
+    ForeignFrames,
+    DecodeErrors,
+    EventsDecoded,
+    EventsLost,
 }
 
-impl HealthCounters {
-    fn register(reg: &Registry) -> HealthCounters {
-        HealthCounters {
-            started: reg.counter(obs::HUB_SESSIONS_STARTED),
-            finished: reg.counter(obs::HUB_SESSIONS_FINISHED),
-            resumed: reg.counter(obs::HUB_SESSIONS_RESUMED),
-            shed: reg.counter(obs::HUB_SESSIONS_SHED),
-            evicted: reg.counter(obs::HUB_SESSIONS_EVICTED),
-            quarantined: reg.counter(obs::HUB_SESSIONS_QUARANTINED),
-            foreign_frames: reg.counter(obs::HUB_FOREIGN_FRAMES),
-            decode_errors: reg.counter(obs::HUB_DECODE_ERRORS),
-            events_decoded: reg.counter(obs::HUB_EVENTS_DECODED),
-            events_lost: reg.counter(obs::HUB_EVENTS_LOST),
+/// The registry series each [`Tally`] is published into.
+const TALLY_SERIES: [&str; 10] = [
+    obs::HUB_SESSIONS_STARTED,
+    obs::HUB_SESSIONS_FINISHED,
+    obs::HUB_SESSIONS_RESUMED,
+    obs::HUB_SESSIONS_SHED,
+    obs::HUB_SESSIONS_EVICTED,
+    obs::HUB_SESSIONS_QUARANTINED,
+    obs::HUB_FOREIGN_FRAMES,
+    obs::HUB_DECODE_ERRORS,
+    obs::HUB_EVENTS_DECODED,
+    obs::HUB_EVENTS_LOST,
+];
+
+/// The shared books behind [`HubHealth`]: plain relaxed atomics, so the
+/// typed [`health`](SessionTable::health) view and the FEEDBACK
+/// pressure level hold whether or not the `metrics` feature is compiled
+/// in. Every change is then published into the `datc_hub_*` series with
+/// [`Counter::store`] (sync, don't count); `publish` orders the stores
+/// so the last one always carries the newest totals.
+#[derive(Debug)]
+struct HealthBooks {
+    totals: [AtomicU64; TALLY_SERIES.len()],
+    series: [Counter; TALLY_SERIES.len()],
+    in_flight: Gauge,
+    publish: Mutex<()>,
+}
+
+impl HealthBooks {
+    fn register(reg: &Registry) -> HealthBooks {
+        HealthBooks {
+            totals: Default::default(),
+            series: TALLY_SERIES.map(|name| reg.counter(name)),
             in_flight: reg.gauge(obs::HUB_SESSIONS_IN_FLIGHT),
+            publish: Mutex::new(()),
         }
     }
 
-    /// Refreshes the in-flight gauge from the started/finished
-    /// counters (the typed view computes the same difference).
-    fn update_in_flight(&self) {
-        let in_flight = self.started.get().saturating_sub(self.finished.get());
+    fn get(&self, tally: Tally) -> u64 {
+        self.totals[tally as usize].load(Ordering::Relaxed)
+    }
+
+    /// Adds each `n` to its tally, then publishes the new totals and
+    /// the in-flight gauge (started − finished, as the typed view
+    /// computes it).
+    fn add(&self, entries: &[(Tally, u64)]) {
+        for &(tally, n) in entries {
+            self.totals[tally as usize].fetch_add(n, Ordering::Relaxed);
+        }
+        let _publishing = self.publish.lock().expect("health books poisoned");
+        for &(tally, _) in entries {
+            self.series[tally as usize].store(self.get(tally));
+        }
+        let in_flight = self
+            .get(Tally::Started)
+            .saturating_sub(self.get(Tally::Finished));
         self.in_flight.set(in_flight as f64);
     }
 }
@@ -295,7 +333,7 @@ impl HealthCounters {
 /// The finished-session table, shareable between hubs (TCP + UDP) so a
 /// mixed-transport deployment has one operator view, one
 /// connection-id space — and one metrics [`Registry`]: the health
-/// tallies are registry counters (`datc_hub_*`), every hub session
+/// tallies are published as `datc_hub_*` series, every hub session
 /// gets per-session `datc_rx_*` / `datc_session_*` series while in
 /// flight (retired when it finishes; the lifetime totals stay in the
 /// roll-ups), and [`registry`](SessionTable::registry) hands the whole
@@ -308,13 +346,13 @@ pub struct SessionTable {
     // hubs sharing the table also share the id space.
     next_conn_id: AtomicU64,
     registry: Registry,
-    health: HealthCounters,
+    health: HealthBooks,
 }
 
 impl Default for SessionTable {
     fn default() -> Self {
         let registry = Registry::new();
-        let health = HealthCounters::register(&registry);
+        let health = HealthBooks::register(&registry);
         SessionTable {
             sessions: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
@@ -346,14 +384,16 @@ impl SessionTable {
     /// counters into the shared [`HubHealth`] tallies.
     pub fn insert(&self, conn_id: u64, session: HubSession) {
         let stats = &session.report.stats;
-        let h = &self.health;
-        h.finished.inc();
-        h.foreign_frames.add(stats.foreign_frames);
-        h.decode_errors
-            .add(stats.crc_failures + stats.malformed_frames + stats.orphan_frames);
-        h.events_decoded.add(stats.events_decoded);
-        h.events_lost.add(stats.events_lost);
-        h.update_in_flight();
+        self.health.add(&[
+            (Tally::Finished, 1),
+            (Tally::ForeignFrames, stats.foreign_frames),
+            (
+                Tally::DecodeErrors,
+                stats.crc_failures + stats.malformed_frames + stats.orphan_frames,
+            ),
+            (Tally::EventsDecoded, stats.events_decoded),
+            (Tally::EventsLost, stats.events_lost),
+        ]);
         self.sessions
             .lock()
             .expect("session table poisoned")
@@ -362,21 +402,20 @@ impl SessionTable {
 
     /// Aggregated health snapshot across every hub sharing this table.
     pub fn health(&self) -> HubHealth {
-        let h = &self.health;
-        let started = h.started.get();
-        let finished = h.finished.get();
+        let h = |tally| self.health.get(tally);
+        let (started, finished) = (h(Tally::Started), h(Tally::Finished));
         HubHealth {
             sessions_started: started,
             sessions_finished: finished,
             in_flight: started.saturating_sub(finished),
-            resumed: h.resumed.get(),
-            shed: h.shed.get(),
-            evicted: h.evicted.get(),
-            quarantined: h.quarantined.get(),
-            foreign_frames: h.foreign_frames.get(),
-            decode_errors: h.decode_errors.get(),
-            events_decoded: h.events_decoded.get(),
-            events_lost: h.events_lost.get(),
+            resumed: h(Tally::Resumed),
+            shed: h(Tally::Shed),
+            evicted: h(Tally::Evicted),
+            quarantined: h(Tally::Quarantined),
+            foreign_frames: h(Tally::ForeignFrames),
+            decode_errors: h(Tally::DecodeErrors),
+            events_decoded: h(Tally::EventsDecoded),
+            events_lost: h(Tally::EventsLost),
         }
     }
 
@@ -401,13 +440,13 @@ impl SessionTable {
     /// activity boost alone — it has no occupancy to measure. Cheap
     /// (relaxed atomic reads), called per read/datagram.
     pub fn pressure_level(&self, max_sessions: Option<usize>) -> u8 {
-        let h = &self.health;
+        let h = |tally| self.health.get(tally);
         let boost = 16u64
-            .saturating_mul(h.shed.get().saturating_add(h.quarantined.get()))
+            .saturating_mul(h(Tally::Shed).saturating_add(h(Tally::Quarantined)))
             .min(64);
         let occupancy = match max_sessions {
             Some(cap) if cap > 0 => {
-                let in_flight = h.started.get().saturating_sub(h.finished.get());
+                let in_flight = h(Tally::Started).saturating_sub(h(Tally::Finished));
                 (in_flight.saturating_mul(255) / cap as u64).min(255)
             }
             Some(_) => 255, // cap 0: drain mode, saturated by definition
@@ -416,30 +455,10 @@ impl SessionTable {
         occupancy.saturating_add(boost).min(255) as u8
     }
 
-    /// A fresh session entered service.
-    pub(crate) fn note_started(&self) {
-        self.health.started.inc();
-        self.health.update_in_flight();
-    }
-
-    /// A reconnect adopted a parked session.
-    pub(crate) fn note_resumed(&self) {
-        self.health.resumed.inc();
-    }
-
-    /// A connection/peer was turned away at the session cap.
-    pub(crate) fn note_shed(&self) {
-        self.health.shed.inc();
-    }
-
-    /// A session was force-retired with open books (idle or stalled).
-    pub(crate) fn note_evicted(&self) {
-        self.health.evicted.inc();
-    }
-
-    /// A session blew its framing-garbage budget.
-    pub(crate) fn note_quarantined(&self) {
-        self.health.quarantined.inc();
+    /// Books one more `tally` event: a session started, resumed, shed,
+    /// evicted or quarantined.
+    pub(crate) fn note(&self, tally: Tally) {
+        self.health.add(&[(tally, 1)]);
     }
 
     /// Number of finished sessions recorded.
@@ -665,9 +684,7 @@ impl Drop for TelemetryHub {
 /// A disconnected-but-unclosed TCP session waiting for its sender to
 /// reconnect and resume.
 struct ParkedSession {
-    conn_id: u64,
-    rx: SessionRx,
-    bytes_received: u64,
+    session: LiveSession,
     expires: Instant,
 }
 
@@ -747,51 +764,22 @@ impl ResumeRegistry {
         self.state().parked.len()
     }
 
-    /// Retires parked sessions whose resume window expired: their
-    /// decoded events are delivered and the session lands in the table
-    /// with open books, exactly like an idle UDP peer.
-    fn sweep(&self, table: &SessionTable) {
-        let expired: Vec<ParkedSession> = {
-            let mut state = self.state();
-            let parked = &mut state.parked;
-            if parked.is_empty() {
-                return;
-            }
-            let now = Instant::now();
-            let keys: Vec<(u32, u8)> = parked
-                .iter()
-                .filter(|(_, p)| p.expires <= now)
-                .map(|(k, _)| *k)
-                .collect();
-            keys.into_iter().filter_map(|k| parked.remove(&k)).collect()
-        };
+    /// Retires parked sessions whose resume window expired by
+    /// `expired_by`, or every parked session when it is `None` (hub
+    /// shutdown): their decoded events are delivered and the session
+    /// lands in the table with open books, exactly like an idle UDP
+    /// peer.
+    fn retire_parked(&self, table: &SessionTable, expired_by: Option<Instant>) {
+        let expired: Vec<ParkedSession> = self
+            .state()
+            .parked
+            .extract_if(|_, p| expired_by.is_none_or(|at| p.expires <= at))
+            .map(|(_, p)| p)
+            .collect();
         for p in expired {
-            table.note_evicted();
-            finish_session(p.conn_id, p.bytes_received, p.rx, table);
+            p.session.retire(table, End::Evicted);
         }
     }
-
-    /// Retires every parked session (hub shutdown).
-    fn drain(&self, table: &SessionTable) {
-        let all: Vec<ParkedSession> = self.state().parked.drain().map(|(_, p)| p).collect();
-        for p in all {
-            table.note_evicted();
-            finish_session(p.conn_id, p.bytes_received, p.rx, table);
-        }
-    }
-}
-
-fn finish_session(conn_id: u64, bytes_received: u64, rx: SessionRx, table: &SessionTable) {
-    let report = rx.finish();
-    let session_id = report.header.map_or(0, |h| h.session_id);
-    table.insert(
-        conn_id,
-        HubSession {
-            session_id,
-            bytes_received,
-            report,
-        },
-    );
 }
 
 /// Serves the listener until the hub's wake connection arrives.
@@ -828,17 +816,16 @@ fn accept_loop(
             if workers.len() + resume.parked_len() >= cap {
                 // Shed: accept-and-drop keeps the backlog moving and
                 // sends the peer a clean close.
-                table.note_shed();
+                table.note(Tally::Shed);
                 return;
             }
         }
         let table = Arc::clone(&table);
         let resume = Arc::clone(&resume);
-        let conn_id = table.next_conn_id();
         let config = config.clone();
-        let sink = sink_factory.as_ref().map(|f| f(conn_id));
+        let sinks = sink_factory.clone();
         workers.push(std::thread::spawn(move || {
-            serve_connection(conn_id, socket, config, &table, sink, &resume)
+            serve_connection(socket, &config, &table, sinks.as_ref(), &resume)
         }));
     };
     loop {
@@ -865,7 +852,7 @@ fn accept_loop(
         let _ = h.join();
     }
     // Workers parked during shutdown have nobody left to resume them.
-    resume.drain(&table);
+    resume.retire_parked(&table, None);
 }
 
 /// Retires expired parked sessions every [`SWEEP_EVERY`] until the hub
@@ -877,18 +864,8 @@ fn sweep_loop(resume: &ResumeRegistry, table: &SessionTable, stop: &StopSignal) 
         if stop.requested() {
             return;
         }
-        resume.sweep(table);
+        resume.retire_parked(table, Some(Instant::now()));
     }
-}
-
-/// How a TCP worker's read loop ended.
-enum ConnEnd {
-    /// EOF or a hard socket error — resumable when the books are open.
-    Closed,
-    /// The per-connection read timeout fired (stalled peer).
-    Stalled,
-    /// The session blew its framing-garbage budget.
-    Quarantined,
 }
 
 fn is_read_timeout(e: &std::io::Error) -> bool {
@@ -905,12 +882,14 @@ enum Peek {
     More,
 }
 
+/// Serves one connection. A read timeout ends its session as
+/// [`End::Evicted`] (stalled peer); EOF or a socket error as
+/// [`End::Closed`], which parks for resume while the books are open.
 fn serve_connection(
-    conn_id: u64,
     mut socket: TcpStream,
-    config: HubConfig,
+    config: &HubConfig,
     table: &SessionTable,
-    sink: Option<Box<dyn SessionSink>>,
+    sinks: Option<&SinkFactory>,
     resume: &ResumeRegistry,
 ) {
     // The idle timeout doubles as the per-connection read timeout, so
@@ -926,7 +905,7 @@ fn serve_connection(
     // fresh decoder.
     let mut pre: Vec<u8> = Vec::new();
     let mut buf = [0u8; 4096];
-    let mut early_end: Option<ConnEnd> = None;
+    let mut early_end: Option<End> = None;
     let hello: Option<SessionHeader> = loop {
         let peek = match parse_frame(&pre) {
             ParseOutcome::Frame { frame, .. } if frame.ftype == FrameType::Hello => {
@@ -941,16 +920,16 @@ fn serve_connection(
             Peek::NotHello => break None,
             Peek::More => match socket.read(&mut buf) {
                 Ok(0) => {
-                    early_end = Some(ConnEnd::Closed);
+                    early_end = Some(End::Closed);
                     break None;
                 }
                 Ok(n) => pre.extend_from_slice(&buf[..n]),
                 Err(e) if is_read_timeout(&e) => {
-                    early_end = Some(ConnEnd::Stalled);
+                    early_end = Some(End::Evicted);
                     break None;
                 }
                 Err(_) => {
-                    early_end = Some(ConnEnd::Closed);
+                    early_end = Some(End::Closed);
                     break None;
                 }
             },
@@ -962,77 +941,52 @@ fn serve_connection(
         (Some(k), Some(_)) => resume.try_adopt(k, RESUME_HANDOFF),
         _ => None,
     };
-    let (conn_id, mut rx, mut bytes_received) = match adopted {
+    let mut session = match adopted {
         Some(p) => {
-            table.note_resumed();
-            (p.conn_id, p.rx, p.bytes_received)
+            table.note(Tally::Resumed);
+            p.session
         }
-        None => {
-            table.note_started();
-            let mut rx = SessionRx::new(config.session.clone()).with_metrics(
-                SessionObs::register(table.registry(), &conn_id.to_string())
-                    .with_retire_on_finish(),
-            );
-            if let Some(sink) = sink {
-                rx = rx.with_sink(sink);
-            }
-            (conn_id, rx, 0u64)
-        }
+        None => LiveSession::open(table, config, sinks),
     };
     if let Some(k) = key {
         resume.enter(k);
     }
 
-    bytes_received += pre.len() as u64;
-    rx.push_bytes(&pre);
-
-    let over_budget = |rx: &SessionRx| {
-        config
-            .malformed_budget
-            .is_some_and(|b| rx.framing_garbage() > b)
-    };
     // Writes the session's flow-control report back down the duplex
     // connection when one is due (the session's cadence limiter makes
     // the per-read call cheap). Best effort: a sender that never reads
     // its receive half, or a half-closed socket, must not end the
     // session — TCP's own flow control still paces the byte stream.
-    let send_feedback = |rx: &mut SessionRx, socket: &TcpStream| {
-        if let Some(fb) = rx.feedback_due(table.pressure_level(config.max_sessions)) {
+    let send_feedback = |session: &mut LiveSession, socket: &TcpStream| {
+        let pressure = table.pressure_level(config.max_sessions);
+        if let Some(fb) = session.feedback_due(pressure, Instant::now()) {
             let _ = (&*socket).write_all(&fb);
         }
     };
-    send_feedback(&mut rx, &socket);
+    let over_budget = session.push(&pre);
+    send_feedback(&mut session, &socket);
 
-    let end = if let Some(end) = early_end {
-        end
-    } else if over_budget(&rx) {
-        ConnEnd::Quarantined
-    } else {
-        loop {
+    let end = match early_end {
+        Some(end) => end,
+        None if over_budget => End::Quarantined,
+        None => loop {
             match socket.read(&mut buf) {
-                Ok(0) => break ConnEnd::Closed,
+                Ok(0) => break End::Closed,
                 Ok(n) => {
-                    bytes_received += n as u64;
-                    rx.push_bytes(&buf[..n]);
-                    if over_budget(&rx) {
-                        break ConnEnd::Quarantined;
+                    if session.push(&buf[..n]) {
+                        break End::Quarantined;
                     }
-                    send_feedback(&mut rx, &socket);
+                    send_feedback(&mut session, &socket);
                 }
-                Err(e) if is_read_timeout(&e) => break ConnEnd::Stalled,
-                Err(_) => break ConnEnd::Closed,
+                Err(e) if is_read_timeout(&e) => break End::Evicted,
+                Err(_) => break End::Closed,
             }
-        }
+        },
     };
 
-    match end {
-        ConnEnd::Stalled => table.note_evicted(),
-        ConnEnd::Quarantined => table.note_quarantined(),
-        ConnEnd::Closed => {}
-    }
     // A connection that dropped cleanly mid-session (no BYE) parks for
     // resume; everything else — closed books, stalls, quarantines, or
-    // resume disabled — finishes into the table now.
+    // resume disabled — retires into the table now.
     //
     // Ordering matters: the park must be registered *before* this
     // worker leaves the in-flight set. A reconnecting sender's
@@ -1040,24 +994,17 @@ fn serve_connection(
     // first would open a window where neither the park nor the
     // in-flight mark is visible and the reconnect would start a fresh
     // session, booking the entire delivered prefix as gap loss.
-    let resumable = matches!(end, ConnEnd::Closed) && !rx.is_closed() && key.is_some();
-    match (resumable, config.resume_window) {
-        (true, Some(window)) => {
-            let displaced = resume.park(
-                key.expect("resumable implies key"),
-                ParkedSession {
-                    conn_id,
-                    rx,
-                    bytes_received,
-                    expires: Instant::now() + window,
-                },
-            );
-            if let Some(p) = displaced {
-                table.note_evicted();
-                finish_session(p.conn_id, p.bytes_received, p.rx, table);
+    match (key, config.resume_window) {
+        (Some(k), Some(window)) if matches!(end, End::Closed) && !session.rx.is_closed() => {
+            let parked = ParkedSession {
+                session,
+                expires: Instant::now() + window,
+            };
+            if let Some(displaced) = resume.park(k, parked) {
+                displaced.session.retire(table, End::Evicted);
             }
         }
-        _ => finish_session(conn_id, bytes_received, rx, table),
+        _ => session.retire(table, end),
     }
     if let Some(k) = key {
         resume.leave(k);
@@ -1868,10 +1815,7 @@ mod tests {
             || hub.session_table().len() == 1,
             "stalled session retired into the table",
         );
-        // health counters are registry-backed: zeros with metrics off
-        if cfg!(feature = "metrics") {
-            assert_eq!(hub.health().evicted, 1);
-        }
+        assert_eq!(hub.health().evicted, 1);
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1);
         assert!(
@@ -1905,11 +1849,7 @@ mod tests {
             let _ = tx.send_events(&events);
             let _ = tx.finish();
         }
-        // The shed counter is registry-backed (zeros with metrics off);
-        // either way the shutdown below must find no session state.
-        if cfg!(feature = "metrics") {
-            wait_until(|| hub.health().shed >= 1, "connection shed at the cap");
-        }
+        wait_until(|| hub.health().shed >= 1, "connection shed at the cap");
         let sessions = hub.shutdown();
         assert!(sessions.is_empty(), "no session state allocated at cap 0");
     }
@@ -1935,15 +1875,11 @@ mod tests {
             }
         }
         let _ = raw.flush();
-        // The quarantined peer retires into the session table — a real
-        // collection, so this synchronizes with or without metrics.
         wait_until(
             || hub.session_table().len() == 1,
             "garbage flood quarantined",
         );
-        if cfg!(feature = "metrics") {
-            assert_eq!(hub.health().quarantined, 1);
-        }
+        assert_eq!(hub.health().quarantined, 1);
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1);
         assert!(
@@ -1988,9 +1924,7 @@ mod tests {
             || hub.session_table().len() == 1,
             "expired park swept into the table",
         );
-        if cfg!(feature = "metrics") {
-            assert_eq!(hub.health().evicted, 1);
-        }
+        assert_eq!(hub.health().evicted, 1);
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1);
         assert!(!sessions[0].report.stats.closed, "no BYE ever arrived");
@@ -2041,10 +1975,41 @@ mod tests {
         assert_eq!(format!("{moved:?}"), format!("{shared:?}"));
     }
 
+    /// Counts the sinks a factory builds and the `on_close` calls they
+    /// receive.
+    #[derive(Clone, Default)]
+    struct SinkCounts {
+        built: Arc<AtomicU64>,
+        closed: Arc<AtomicU64>,
+    }
+
+    impl SinkCounts {
+        fn factory(&self) -> SinkFactory {
+            let counts = self.clone();
+            Arc::new(move |_conn_id| {
+                counts.built.fetch_add(1, Ordering::SeqCst);
+                Box::new(counts.clone()) as Box<dyn SessionSink>
+            })
+        }
+    }
+
+    impl SessionSink for SinkCounts {
+        fn on_close(&mut self, _report: &SessionReport) {
+            self.closed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn mid_session_disconnect_resumes_and_books_outage_as_loss() {
-        let hub = hub();
-        let table = hub.session_table();
+        let sinks = SinkCounts::default();
+        let table = SessionTable::shared();
+        let hub = TelemetryHub::bind_with(
+            "127.0.0.1:0",
+            HubConfig::default(),
+            Arc::clone(&table),
+            Some(sinks.factory()),
+        )
+        .unwrap();
         let header = SessionHeader::new(77, 2, 2000.0, 2.0);
         let events: Vec<AddressedEvent> = (0..2000)
             .map(|i| AddressedEvent {
@@ -2096,14 +2061,14 @@ mod tests {
         assert_eq!(s.report.stats.events_decoded + expected_lost, 2000);
         assert!(s.report.force_is_finite());
 
-        // Health counters are registry-backed and read zero with
-        // metrics off; the loss books above hold regardless.
-        if cfg!(feature = "metrics") {
-            let health = table.health();
-            assert_eq!(health.sessions_started, 1, "adoptions never double-count");
-            assert_eq!(health.resumed, client.reconnects);
-            assert_eq!(health.in_flight, 0);
-            assert_eq!(health.events_lost, expected_lost);
-        }
+        let health = table.health();
+        assert_eq!(health.sessions_started, 1, "adoptions never double-count");
+        assert_eq!(health.resumed, client.reconnects);
+        assert_eq!(health.in_flight, 0);
+        assert_eq!(health.events_lost, expected_lost);
+        // The reconnects adopted the parked session, so the factory
+        // built one sink, and that sink saw one close.
+        assert_eq!(sinks.built.load(Ordering::SeqCst), 1, "one sink built");
+        assert_eq!(sinks.closed.load(Ordering::SeqCst), 1, "one on_close");
     }
 }

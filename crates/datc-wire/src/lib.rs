@@ -111,6 +111,7 @@ pub mod decode;
 pub mod flow;
 pub mod frame;
 pub mod gateway;
+mod hub;
 pub mod obs;
 pub mod packet;
 pub mod session;

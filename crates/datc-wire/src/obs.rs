@@ -45,7 +45,6 @@
 //! | `datc_session_force_ring_bytes` | gauge | `session` | bytes retained in the force rings |
 //! | `datc_session_event_rate_ewma` | gauge | `session` | smoothed event rate, events/s (session time) |
 //! | `datc_session_latency_ticks` | histogram | `session` | ingest→force-release latency, clock ticks |
-//! | `datc_session_push_ns` | histogram | `session` | wall-clock time per `push_bytes` call (opt-in) |
 //! | `datc_tx_events_total` | counter | `session` | events packetised |
 //! | `datc_tx_frames_total` | counter | `session` | frames emitted (HELLO + DATA + BYE) |
 //! | `datc_tx_bytes_total` | counter | `session` | wire bytes emitted, framing included |
@@ -60,9 +59,7 @@
 //! are computed from event timestamps and the decoder watermark (both
 //! functions of the byte stream alone), and the histogram's integer
 //! bucket counts make its snapshot bit-reproducible across reruns of
-//! the same stream. The `datc_session_push_ns` wall-clock variant is
-//! opt-in ([`SessionObs::with_wall_clock`]) precisely because it is
-//! not.
+//! the same stream.
 
 use crate::decode::WireCounters;
 use crate::packet::Packetizer;
@@ -137,9 +134,6 @@ names! {
     /// Per-session histogram: ingest→force-release latency in clock
     /// ticks (deterministic; bit-reproducible per byte stream).
     SESSION_LATENCY_TICKS = "datc_session_latency_ticks";
-    /// Per-session histogram: wall-clock nanoseconds per
-    /// `push_bytes` call (opt-in; not reproducible).
-    SESSION_PUSH_NS = "datc_session_push_ns";
     /// Per-session counter: events packetised by the sender.
     TX_EVENTS = "datc_tx_events_total";
     /// Per-session counter: frames the sender's packetizer emitted.
@@ -165,7 +159,7 @@ names! {
 
 /// Every name in the per-session receive family — what
 /// [`SessionObs::retire`] removes.
-const RX_SERIES: [&str; 17] = [
+const RX_SERIES: [&str; 16] = [
     RX_FRAMES,
     RX_DUPLICATE_FRAMES,
     RX_CRC_FAILURES,
@@ -182,7 +176,6 @@ const RX_SERIES: [&str; 17] = [
     SESSION_FORCE_RING_BYTES,
     SESSION_EVENT_RATE_EWMA,
     SESSION_LATENCY_TICKS,
-    SESSION_PUSH_NS,
 ];
 
 /// Per-session receive instrumentation: registry handles for one
@@ -235,7 +228,6 @@ pub struct SessionObs {
     force_ring_bytes: Gauge,
     event_rate: Gauge,
     latency_ticks: Histogram,
-    push_ns: Option<Histogram>,
     retire_on_finish: bool,
     ewma: Option<f64>,
     last_watermark_s: f64,
@@ -263,24 +255,12 @@ impl SessionObs {
             force_ring_bytes: registry.gauge_with(SESSION_FORCE_RING_BYTES, &l),
             event_rate: registry.gauge_with(SESSION_EVENT_RATE_EWMA, &l),
             latency_ticks: registry.histogram_with(SESSION_LATENCY_TICKS, &l),
-            push_ns: None,
             retire_on_finish: false,
             ewma: None,
             last_watermark_s: 0.0,
             registry: registry.clone(),
             label: session.to_owned(),
         }
-    }
-
-    /// Also registers the opt-in `datc_session_push_ns` wall-clock
-    /// histogram (per-`push_bytes` processing time). Kept off by
-    /// default so the default metric set stays bit-reproducible.
-    pub fn with_wall_clock(mut self) -> SessionObs {
-        self.push_ns = Some(
-            self.registry
-                .histogram_with(SESSION_PUSH_NS, &[(SESSION_LABEL, &self.label)]),
-        );
-        self
     }
 
     /// Makes [`SessionRx::finish`](crate::session::SessionRx::finish)
@@ -295,11 +275,6 @@ impl SessionObs {
     /// The `session` label value.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// `true` when wall-clock push timing was enabled.
-    pub fn wall_clock(&self) -> bool {
-        self.push_ns.is_some()
     }
 
     pub(crate) fn retire_on_finish_set(&self) -> bool {
@@ -413,14 +388,6 @@ impl SessionObs {
     /// Sets the force-ring residency gauge.
     pub fn set_force_ring_bytes(&self, bytes: u64) {
         self.force_ring_bytes.set(bytes as f64);
-    }
-
-    /// Observes one `push_bytes` call's wall-clock duration, when
-    /// wall-clock timing was enabled.
-    pub fn observe_push_ns(&self, ns: u64) {
-        if let Some(h) = &self.push_ns {
-            h.observe(ns);
-        }
     }
 
     /// Feeds the event-rate EWMA: `absorbed` events were released with
@@ -713,7 +680,7 @@ mod tests {
     #[test]
     fn retire_removes_every_per_session_series() {
         let reg = Registry::new();
-        let obs = SessionObs::register(&reg, "5").with_wall_clock();
+        let obs = SessionObs::register(&reg, "5");
         let tx = TxObs::register(&reg, "5");
         let flow = FlowObs::register(&reg, "5");
         assert!(!reg.is_empty());

@@ -270,11 +270,21 @@ impl SessionRx {
     /// session knows its nonce. Returns the complete wire frame ready to
     /// write back to the sender; `None` when feedback is disabled, the
     /// HELLO has not arrived, or the cadence has not elapsed. The hubs
-    /// call this once per read/datagram — the cadence limiter makes that
-    /// cheap.
+    /// ask once per read or poll, on their own clock — the cadence
+    /// limiter makes that cheap.
     pub fn feedback_due(&mut self, pressure: u8) -> Option<Vec<u8>> {
+        self.feedback_due_at(pressure, std::time::Instant::now())
+    }
+
+    /// [`feedback_due`](SessionRx::feedback_due) on the caller's clock:
+    /// the cadence is measured against `now`, so a hub driven by a
+    /// virtual clock paces feedback on that clock.
+    pub(crate) fn feedback_due_at(
+        &mut self,
+        pressure: u8,
+        now: std::time::Instant,
+    ) -> Option<Vec<u8>> {
         let every = self.config.feedback_every?;
-        let now = std::time::Instant::now();
         if let Some(last) = self.feedback_last {
             if now.duration_since(last) < every {
                 return None;
@@ -299,10 +309,6 @@ impl SessionRx {
     /// per-channel reconstructors (and the sink, when attached).
     /// Returns events absorbed this call.
     pub fn push_bytes(&mut self, bytes: &[u8]) -> usize {
-        let t0 = match &self.obs {
-            Some(obs) if obs.wall_clock() => Some(std::time::Instant::now()),
-            _ => None,
-        };
         self.decoder.push_bytes(bytes);
         if self.recon.is_empty() {
             if let Some(h) = self.decoder.session() {
@@ -326,9 +332,6 @@ impl SessionRx {
         }
         self.emit();
         self.sync_obs(absorbed);
-        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
-            obs.observe_push_ns(t0.elapsed().as_nanos() as u64);
-        }
         self.scratch.clear();
         absorbed
     }

@@ -26,9 +26,16 @@
 //! ## Sessions without connections
 //!
 //! UDP has no accept/EOF, so the [`UdpTelemetryHub`] keys in-flight
-//! sessions by peer address. A received BYE is held for a grace
-//! window ([`HubConfig::bye_grace`]) before it closes the books, so
-//! DATA datagrams reordered
+//! sessions by peer address. Every rule below lives in one sans-I/O
+//! peer table: the receive thread hands it each datagram stamped with
+//! its arrival time and polls it with the current time, sending back
+//! whatever FEEDBACK frames fall due. The table reads no clock and
+//! touches no socket, so its policy is tested on a virtual clock, and
+//! its sessions open, ingest and retire through the same lifecycle code
+//! as the TCP hub's — both hubs move the [`HubHealth`] tallies alike.
+//!
+//! A received BYE is held for a grace window ([`HubConfig::bye_grace`])
+//! before it closes the books, so DATA datagrams reordered
 //! *behind* the BYE are still absorbed by the reorder buffer; the
 //! session then retires, and late stragglers of a retired session are
 //! dropped rather than resurrecting it as a ghost (a CRC-valid HELLO
@@ -70,21 +77,20 @@ use crate::gateway::{
     fleet_header, ClientReport, HubConfig, HubHealth, HubSession, RetryPolicy, SessionTable,
     SinkFactory,
 };
+use crate::hub::PeerTable;
 use crate::packet::{Packetizer, SessionHeader};
-use crate::session::SessionRx;
 use datc_engine::FleetOutput;
 use datc_uwb::aer::AddressedEvent;
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Receive poll interval — also the post-stop drain quantum: after a
 /// stop request the receive loop keeps decoding until one full interval
 /// passes with the socket empty.
-const POLL: Duration = Duration::from_millis(2);
+pub(crate) const POLL: Duration = Duration::from_millis(2);
 
 /// A telemetry ingest gateway bound to a local UDP address.
 ///
@@ -215,25 +221,11 @@ impl Drop for UdpTelemetryHub {
     }
 }
 
-/// Minimum lifetime of a straggler-filter entry (see `retired` in
-/// [`receive_loop`]): generous against any realistic reorder/duplicate
-/// delay, yet bounding the filter to the sessions retired in the last
-/// minute (or [`HubConfig::idle_timeout`], whichever is longer).
-const RETIRED_TTL: Duration = Duration::from_secs(60);
-
-/// One in-flight peer session.
-struct Peer {
-    conn_id: u64,
-    rx: SessionRx,
-    bytes_received: u64,
-    /// A received BYE datagram held until its grace deadline, so
-    /// session-tail datagrams reordered behind it are still absorbed.
-    pending_bye: Option<(Vec<u8>, std::time::Instant)>,
-    /// When this peer last delivered a datagram — the idle-eviction
-    /// clock.
-    last_activity: std::time::Instant,
-}
-
+/// The receive thread: the socket adapter around [`PeerTable`]. Each
+/// datagram goes to the table stamped with its arrival time, then one
+/// poll sends due FEEDBACK frames and retires expired peers. After the
+/// stop request the loop keeps decoding until a full [`POLL`] interval
+/// passes with the socket empty, then finishes every in-flight peer.
 fn receive_loop(
     socket: UdpSocket,
     config: HubConfig,
@@ -241,300 +233,26 @@ fn receive_loop(
     sink_factory: Option<SinkFactory>,
     stop: Arc<AtomicBool>,
 ) {
-    let mut peers: HashMap<SocketAddr, Peer> = HashMap::new();
-    // Peers whose session was retired (BYE processed or idle-evicted),
-    // mapped to the retired session's header and retirement time. A
-    // DATA/BYE straggler duplicated or reordered past the grace window
-    // must be dropped, not allowed to resurrect the address as a ghost
-    // session; a CRC-valid HELLO carrying a *different* header is a
-    // genuinely new session (sensors legitimately reuse one socket)
-    // and un-retires the address — a duplicate of the finished
-    // session's own HELLO cannot, because its header matches. Entries
-    // are cleared on reuse and pruned on the idle scans once they
-    // outlive the straggler horizon, so the filter stays bounded on
-    // long-running hubs (stragglers arrive on the reorder timescale —
-    // well inside the horizon; an extreme late straggler past it would
-    // open a ghost peer, which the idle clock then evicts). With
-    // eviction disabled (`idle_timeout: None`) the filter keeps one
-    // entry per finished session — the same memory class as the
-    // session table itself.
-    let mut retired: HashMap<SocketAddr, (Option<SessionHeader>, std::time::Instant)> =
-        HashMap::new();
+    let mut peers = PeerTable::new(config, table, sink_factory);
     // One datagram = one frame ≤ HEADER + MAX_PAYLOAD + CRC bytes; a
     // 64 KiB buffer holds any datagram the socket can deliver (an
     // oversized/truncated one fails its CRC and is skipped).
     let mut buf = vec![0u8; 64 * 1024];
-    let mut pending_byes = 0usize;
-    // Idle scans are rate-limited to a fraction of the timeout so a
-    // quiet hub doesn't walk the peer map on every 2 ms poll.
-    let idle_scan_every = config
-        .idle_timeout
-        .map(|t| (t / 4).clamp(POLL, Duration::from_secs(1)));
-    let mut next_idle_scan = idle_scan_every.map(|d| std::time::Instant::now() + d);
     loop {
         match socket.recv_from(&mut buf) {
-            Ok((n, from)) => {
-                let dgram = &buf[..n];
-                // Cheap frame-type peek (sync word + discriminant
-                // byte). Full CRC-validating parses run only where a
-                // probe is actually needed, so the steady-state DATA
-                // path costs exactly one parse — the decoder's own.
-                let peeked_type = (n > crate::frame::HEADER_LEN
-                    && dgram[..2] == crate::frame::SYNC)
-                    .then(|| dgram[2]);
-                let looks_hello = peeked_type == Some(crate::frame::FrameType::Hello.to_byte());
-                let looks_bye = peeked_type == Some(crate::frame::FrameType::Bye.to_byte());
-
-                if let Some((closed_header, _)) = retired.get(&from) {
-                    match looks_hello.then(|| hello_header(dgram)).flatten() {
-                        Some(h) if Some(h) != *closed_header => {
-                            retired.remove(&from); // same sensor, next session
-                        }
-                        _ => continue, // straggler of the closed session
-                    }
-                }
-                // A reused socket can open a new session at any time —
-                // while the previous one is in BYE grace, or still
-                // nominally in flight because its BYE was lost. A
-                // CRC-valid HELLO carrying a *different* header
-                // retires the old peer right now, so the new session
-                // gets a fresh decoder instead of being swallowed by
-                // the old one's. (A peer whose own HELLO never arrived
-                // has no header to compare: the first HELLO to reach
-                // it is adopted by its decoder, indistinguishable from
-                // reordered delivery — see "Known limits".)
-                if looks_hello && peers.get(&from).is_some_and(|p| p.rx.header().is_some()) {
-                    if let Some(h) = hello_header(dgram) {
-                        let old = peers.get(&from).expect("presence just checked");
-                        if old.rx.header() != Some(&h) {
-                            let mut old = peers.remove(&from).expect("presence just checked");
-                            if let Some((bye, _)) = old.pending_bye.take() {
-                                pending_byes -= 1;
-                                old.rx.push_bytes(&bye);
-                            }
-                            // no `retired` entry: the new HELLO takes
-                            // over the address immediately
-                            finish_peer(old, &table);
-                        }
-                    }
-                }
-                // Junk from an unknown address must not allocate
-                // decoder state (a SessionRx plus a factory-built
-                // sink): only a CRC-valid frame opens a peer. Any
-                // frame type qualifies — a session whose HELLO is
-                // reordered behind its first DATA still gets a peer,
-                // and the decoder books the orphans.
-                if !peers.contains_key(&from) {
-                    if !is_valid_frame(dgram) {
-                        continue;
-                    }
-                    // Session cap: a valid frame from a *new* address
-                    // while the hub is at capacity is shed — dropped
-                    // and counted in [`HubHealth::shed`] — so overload
-                    // degrades into refused sessions instead of
-                    // unbounded decoder state. Known peers keep
-                    // flowing.
-                    if config.max_sessions.is_some_and(|cap| peers.len() >= cap) {
-                        table.note_shed();
-                        continue;
-                    }
-                }
-                let peer = peers.entry(from).or_insert_with(|| {
-                    let conn_id = table.next_conn_id();
-                    table.note_started();
-                    let mut rx = SessionRx::new(config.session.clone()).with_metrics(
-                        crate::obs::SessionObs::register(table.registry(), &conn_id.to_string())
-                            .with_retire_on_finish(),
-                    );
-                    if let Some(factory) = &sink_factory {
-                        rx = rx.with_sink(factory(conn_id));
-                    }
-                    Peer {
-                        conn_id,
-                        rx,
-                        bytes_received: 0,
-                        pending_bye: None,
-                        last_activity: std::time::Instant::now(),
-                    }
-                });
-                peer.bytes_received += n as u64;
-                peer.last_activity = std::time::Instant::now();
-                if looks_bye && is_bye_frame(dgram) {
-                    // Hold the BYE for the grace window; duplicates of
-                    // a held BYE are byte-identical and dropped.
-                    if peer.pending_bye.is_none() {
-                        peer.pending_bye =
-                            Some((dgram.to_vec(), std::time::Instant::now() + config.bye_grace));
-                        pending_byes += 1;
-                    }
-                } else {
-                    peer.rx.push_bytes(dgram);
-                }
-                // Malformed-frame budget: an address feeding the
-                // decoder garbage past its budget is quarantined —
-                // books closed as they stand, address retired into the
-                // straggler filter so the flood stops burning CRC
-                // scans on a live decoder. A later CRC-valid HELLO
-                // with a fresh header reopens the address as usual.
-                let over_budget = config
-                    .malformed_budget
-                    .is_some_and(|b| peer.rx.framing_garbage() > b);
-                if over_budget {
-                    let mut peer = peers.remove(&from).expect("peer just updated");
-                    if let Some((bye, _)) = peer.pending_bye.take() {
-                        pending_byes -= 1;
-                        peer.rx.push_bytes(&bye);
-                    }
-                    retired.insert(from, (peer.rx.header().copied(), std::time::Instant::now()));
-                    table.note_quarantined();
-                    finish_peer(peer, &table);
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // A full poll interval with an empty socket *after* the
-                // stop request means the backlog is drained.
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+            Ok((n, from)) => peers.on_datagram(from, &buf[..n], Instant::now()),
+            // An empty poll interval (or a failed receive) after the
+            // stop request means the backlog is drained.
+            Err(_) if stop.load(Ordering::SeqCst) => break,
+            Err(_) => {}
         }
-        // Receiver-driven flow control: write a FEEDBACK datagram back
-        // to every peer whose cadence came due, from the hub's own
-        // socket to the session's source address. Best-effort — a
-        // legacy sender that never reads them just leaves a few tiny
-        // datagrams to its kernel buffer. The cadence limiter inside
-        // `feedback_due` keeps this walk cheap on busy hubs.
-        if !peers.is_empty() {
-            let pressure = table.pressure_level(config.max_sessions);
-            for (addr, peer) in peers.iter_mut() {
-                if let Some(fb) = peer.rx.feedback_due(pressure) {
-                    let _ = socket.send_to(&fb, addr);
-                }
-            }
-        }
-        // Retire peers whose BYE grace expired: close the books and
-        // remember the session header for the straggler filter.
-        if pending_byes > 0 {
-            let now = std::time::Instant::now();
-            let due: Vec<SocketAddr> = peers
-                .iter()
-                .filter(|(_, p)| p.pending_bye.as_ref().is_some_and(|&(_, at)| at <= now))
-                .map(|(&addr, _)| addr)
-                .collect();
-            for addr in due {
-                let mut peer = peers.remove(&addr).expect("key just listed");
-                let (bye, _) = peer.pending_bye.take().expect("filtered on pending");
-                pending_byes -= 1;
-                peer.rx.push_bytes(&bye);
-                retired.insert(addr, (peer.rx.header().copied(), now));
-                finish_peer(peer, &table);
-            }
-        }
-        // Idle-peer eviction: a peer silent past the timeout (its BYE
-        // lost, or the sensor dead) is retired exactly as hub shutdown
-        // would — decoded events delivered, session recorded with open
-        // books — so a lost BYE no longer pins the in-flight table
-        // forever. Like BYE retirement, the address joins the straggler
-        // filter: a late duplicate cannot resurrect the session, while
-        // a fresh HELLO reopens the address.
-        if let (Some(timeout), Some(at)) = (config.idle_timeout, next_idle_scan) {
-            let now = std::time::Instant::now();
-            if now >= at {
-                next_idle_scan = idle_scan_every.map(|d| now + d);
-                let idle: Vec<SocketAddr> = peers
-                    .iter()
-                    .filter(|(_, p)| now.duration_since(p.last_activity) >= timeout)
-                    .map(|(&addr, _)| addr)
-                    .collect();
-                for addr in idle {
-                    let mut peer = peers.remove(&addr).expect("key just listed");
-                    if let Some((bye, _)) = peer.pending_bye.take() {
-                        // unreachable in practice (BYE grace ≪ idle
-                        // timeout), but never drop a held BYE
-                        pending_byes -= 1;
-                        peer.rx.push_bytes(&bye);
-                    }
-                    retired.insert(addr, (peer.rx.header().copied(), now));
-                    table.note_evicted();
-                    finish_peer(peer, &table);
-                }
-                // Prune straggler-filter entries past the horizon so
-                // the filter stays bounded alongside the peer map.
-                let horizon = timeout.max(RETIRED_TTL);
-                retired.retain(|_, &mut (_, at)| now.duration_since(at) < horizon);
-            }
-        }
+        // Best effort: a sender that never reads its FEEDBACK just
+        // leaves a few tiny datagrams in its kernel buffer.
+        peers.poll(Instant::now(), |to, frame| {
+            let _ = socket.send_to(frame, to);
+        });
     }
-    // Drain-on-shutdown: flush held BYEs, then finish every in-flight
-    // peer — each decoded event reached its sink exactly once.
-    for (_, mut peer) in peers.drain() {
-        if let Some((bye, _)) = peer.pending_bye.take() {
-            peer.rx.push_bytes(&bye);
-        }
-        finish_peer(peer, &table);
-    }
-}
-
-/// Parses a datagram as one CRC-valid HELLO frame and returns its
-/// header — the only thing allowed to reopen a retired peer address.
-fn hello_header(datagram: &[u8]) -> Option<SessionHeader> {
-    match crate::frame::parse_frame(datagram) {
-        crate::frame::ParseOutcome::Frame {
-            frame:
-                crate::frame::Frame {
-                    ftype: crate::frame::FrameType::Hello,
-                    payload,
-                    ..
-                },
-            ..
-        } => SessionHeader::decode(payload),
-        _ => None,
-    }
-}
-
-/// `true` when the datagram is one CRC-valid BYE frame (held for the
-/// grace window before it closes the books).
-fn is_bye_frame(datagram: &[u8]) -> bool {
-    matches!(
-        crate::frame::parse_frame(datagram),
-        crate::frame::ParseOutcome::Frame {
-            frame: crate::frame::Frame {
-                ftype: crate::frame::FrameType::Bye,
-                ..
-            },
-            ..
-        }
-    )
-}
-
-/// `true` when the datagram parses as one CRC-valid frame of any type —
-/// the bar for allocating per-peer decoder state.
-fn is_valid_frame(datagram: &[u8]) -> bool {
-    matches!(
-        crate::frame::parse_frame(datagram),
-        crate::frame::ParseOutcome::Frame { .. }
-    )
-}
-
-fn finish_peer(peer: Peer, table: &SessionTable) {
-    let report = peer.rx.finish();
-    let session_id = report.header.map_or(0, |h| h.session_id);
-    table.insert(
-        peer.conn_id,
-        HubSession {
-            session_id,
-            bytes_received: peer.bytes_received,
-            report,
-        },
-    );
+    peers.close_all();
 }
 
 /// Transmit pacing for [`UdpSessionSender`]: up to `burst` datagrams go
@@ -1049,6 +767,72 @@ mod tests {
             .collect()
     }
 
+    /// A [`PeerTable`] on a virtual clock `t0 + elapsed`: datagrams are
+    /// handed straight to the table, and time moves only when a test
+    /// advances it — no socket, no sleep.
+    struct VirtualHub {
+        peers: PeerTable,
+        table: Arc<SessionTable>,
+        t0: Instant,
+        elapsed: Duration,
+    }
+
+    impl VirtualHub {
+        fn new(config: HubConfig) -> VirtualHub {
+            VirtualHub::with_sinks(config, None)
+        }
+
+        fn with_sinks(config: HubConfig, sinks: Option<SinkFactory>) -> VirtualHub {
+            let table = SessionTable::shared();
+            VirtualHub {
+                peers: PeerTable::new(config, Arc::clone(&table), sinks),
+                table,
+                t0: Instant::now(),
+                elapsed: Duration::ZERO,
+            }
+        }
+
+        fn now(&self) -> Instant {
+            self.t0 + self.elapsed
+        }
+
+        /// Delivers one datagram from `from` at the current time, then
+        /// polls, as the receive loop does.
+        fn send(&mut self, from: SocketAddr, datagram: &[u8]) {
+            self.peers.on_datagram(from, datagram, self.now());
+            self.peers.poll(self.now(), |_, _| {});
+        }
+
+        /// Moves the clock forward and polls.
+        fn advance(&mut self, by: Duration) {
+            self.elapsed += by;
+            self.peers.poll(self.now(), |_, _| {});
+        }
+
+        /// Lets a held BYE's grace window run out.
+        fn advance_past_bye_grace(&mut self) {
+            self.advance(HubConfig::default().bye_grace);
+        }
+
+        fn session_count(&self) -> usize {
+            self.table.len()
+        }
+
+        fn health(&self) -> HubHealth {
+            self.table.health()
+        }
+
+        fn shutdown(self) -> Vec<HubSession> {
+            self.peers.close_all();
+            self.table.snapshot()
+        }
+    }
+
+    /// A sensor's source address.
+    fn sensor(n: u8) -> SocketAddr {
+        SocketAddr::from(([10, 0, 0, n], 5000))
+    }
+
     #[test]
     fn single_udp_session_round_trips() {
         let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
@@ -1117,7 +901,7 @@ mod tests {
         // A duplicated (or reordered) DATA datagram arriving after its
         // session's BYE was processed must be dropped, not create a
         // ghost session under a fresh conn id.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
+        let mut hub = VirtualHub::new(HubConfig::default());
         let header = SessionHeader::new(55, 1, 2000.0, 1.0);
         let events = test_events(&header, 30);
 
@@ -1126,22 +910,18 @@ mod tests {
         let data = packetizer.data_frames(&events);
         let bye = packetizer.bye();
 
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
+        let socket = sensor(1);
+        hub.send(socket, &hello);
         for f in &data {
-            socket.send(f).unwrap();
+            hub.send(socket, f);
         }
-        socket.send(&bye).unwrap();
-        // wait for BYE-triggered retirement…
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.send(socket, &bye);
+        // BYE-triggered retirement…
+        hub.advance_past_bye_grace();
         // …then replay stragglers from the same source address
-        socket.send(&data[0]).unwrap();
-        socket.send(&bye).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        hub.send(socket, &data[0]);
+        hub.send(socket, &bye);
+        hub.advance(Duration::from_millis(50));
         assert_eq!(
             hub.session_count(),
             1,
@@ -1152,15 +932,12 @@ mod tests {
         // session: sensors legitimately reuse one socket.
         let header_b = SessionHeader::new(56, 1, 2000.0, 1.0);
         let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap();
+        hub.send(socket, &tx_b.hello());
         for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
+            hub.send(socket, &f);
         }
-        socket.send(&tx_b.bye()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.send(socket, &tx_b.bye());
+        hub.advance_past_bye_grace();
 
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 2, "one retired + one reused-socket session");
@@ -1176,7 +953,7 @@ mod tests {
         // The classic session-tail reorder: [.., D1, BYE, D2]. The BYE
         // is held for `HubConfig::bye_grace`, so D2 still reaches the
         // reorder buffer and the books close with zero loss.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
+        let mut hub = VirtualHub::new(HubConfig::default());
         let header = SessionHeader::new(60, 1, 2000.0, 1.0);
         let events = test_events(&header, 20);
         let mut tx = Packetizer::new(header).with_events_per_frame(10);
@@ -1185,17 +962,13 @@ mod tests {
         let bye = tx.bye();
         assert_eq!(data.len(), 2);
 
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
-        socket.send(&data[0]).unwrap();
-        socket.send(&bye).unwrap(); // BYE overtakes the last DATA
-        socket.send(&data[1]).unwrap();
+        let socket = sensor(1);
+        hub.send(socket, &hello);
+        hub.send(socket, &data[0]);
+        hub.send(socket, &bye); // BYE overtakes the last DATA
+        hub.send(socket, &data[1]);
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.advance_past_bye_grace();
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].report.stats.events_decoded, 20, "D2 absorbed");
@@ -1208,25 +981,21 @@ mod tests {
         // Socket reuse, back to back: session B's HELLO lands while
         // session A's BYE is still held in grace. A must retire at
         // once and B must get a fresh decoder.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
+        let mut hub = VirtualHub::new(HubConfig::default());
+        let socket = sensor(1);
 
         for (id, n) in [(70u32, 25u64), (71, 15)] {
             let header = SessionHeader::new(id, 1, 2000.0, 1.0);
             let mut tx = Packetizer::new(header);
-            socket.send(&tx.hello()).unwrap();
+            hub.send(socket, &tx.hello());
             for f in tx.data_frames(&test_events(&header, n)) {
-                socket.send(&f).unwrap();
+                hub.send(socket, &f);
             }
-            socket.send(&tx.bye()).unwrap();
+            hub.send(socket, &tx.bye());
             // no pause: session 71 starts well inside 70's grace
         }
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.advance_past_bye_grace();
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 2, "both back-to-back sessions land");
         assert_eq!(sessions[0].session_id, 70);
@@ -1243,30 +1012,26 @@ mod tests {
         // Session A's BYE is lost; the sensor reuses the socket for
         // session B. B's HELLO (different header) must retire A and
         // open a fresh decoder — not be swallowed by A's.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
+        let mut hub = VirtualHub::new(HubConfig::default());
+        let socket = sensor(1);
 
         let header_a = SessionHeader::new(80, 1, 2000.0, 1.0);
         let mut tx_a = Packetizer::new(header_a);
-        socket.send(&tx_a.hello()).unwrap();
+        hub.send(socket, &tx_a.hello());
         for f in tx_a.data_frames(&test_events(&header_a, 20)) {
-            socket.send(&f).unwrap();
+            hub.send(socket, &f);
         }
         // A's BYE is lost on air.
 
         let header_b = SessionHeader::new(81, 1, 2000.0, 1.0);
         let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap();
+        hub.send(socket, &tx_b.hello());
         for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
+            hub.send(socket, &f);
         }
-        socket.send(&tx_b.bye()).unwrap();
+        hub.send(socket, &tx_b.bye());
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.advance_past_bye_grace();
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 2, "A retired by takeover, B landed");
         assert_eq!(sessions[0].session_id, 80);
@@ -1286,31 +1051,27 @@ mod tests {
         // reorder buffer as a far-future hole and be declared lost at
         // close; with it, B counts one foreign frame and its books
         // close with zero loss and zero gaps.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
+        let mut hub = VirtualHub::new(HubConfig::default());
+        let socket = sensor(1);
 
         let header_a = SessionHeader::new(90, 1, 2000.0, 1.0);
         let mut tx_a = Packetizer::new(header_a).with_events_per_frame(10);
         let data_a = tx_a.data_frames(&test_events(&header_a, 20));
         assert_eq!(data_a.len(), 2);
-        socket.send(&tx_a.hello()).unwrap();
-        socket.send(&data_a[0]).unwrap();
+        hub.send(socket, &tx_a.hello());
+        hub.send(socket, &data_a[0]);
         // data_a[1] is still in flight; A's BYE is lost on air.
 
         let header_b = SessionHeader::new(91, 1, 2000.0, 1.0);
         let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap(); // takeover retires A
-        socket.send(&data_a[1]).unwrap(); // A's tail lands in B's decoder
+        hub.send(socket, &tx_b.hello()); // takeover retires A
+        hub.send(socket, &data_a[1]); // A's tail lands in B's decoder
         for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
+            hub.send(socket, &f);
         }
-        socket.send(&tx_b.bye()).unwrap();
+        hub.send(socket, &tx_b.bye());
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.advance_past_bye_grace();
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 2);
         assert_eq!(sessions[0].session_id, 90);
@@ -1337,19 +1098,12 @@ mod tests {
                 Box::new(Null)
             })
         };
-        let hub = UdpTelemetryHub::bind_with(
-            "127.0.0.1:0",
-            HubConfig::default(),
-            crate::gateway::SessionTable::shared(),
-            Some(factory),
-        )
-        .unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
+        let mut hub = VirtualHub::with_sinks(HubConfig::default(), Some(factory));
+        let socket = sensor(1);
         for i in 0..20u8 {
-            socket.send(&[i, 0xFF, i ^ 0x55, 0x00, i]).unwrap(); // garbage
+            hub.send(socket, &[i, 0xFF, i ^ 0x55, 0x00, i]); // garbage
         }
-        std::thread::sleep(Duration::from_millis(30));
+        hub.advance(Duration::from_millis(30));
         let sessions = hub.shutdown();
         assert!(sessions.is_empty(), "no ghost sessions from junk");
         assert_eq!(
@@ -1615,7 +1369,7 @@ mod tests {
             idle_timeout: Some(Duration::from_millis(60)),
             ..HubConfig::default()
         };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
+        let mut hub = VirtualHub::new(config);
         let header = SessionHeader::new(90, 1, 2000.0, 1.0);
         let events = test_events(&header, 25);
         let mut tx = Packetizer::new(header);
@@ -1623,36 +1377,29 @@ mod tests {
         let data = tx.data_frames(&events);
         let _lost_bye = tx.bye();
 
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
+        let socket = sensor(1);
+        hub.send(socket, &hello);
         for f in &data {
-            socket.send(f).unwrap();
+            hub.send(socket, f);
         }
         // no BYE: only the idle clock can retire this peer
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.advance(Duration::from_millis(60));
         assert_eq!(hub.session_count(), 1, "idle eviction landed the session");
 
         // a straggler of the evicted session is dropped, not resurrected
-        socket.send(&data[0]).unwrap();
-        std::thread::sleep(Duration::from_millis(40));
+        hub.send(socket, &data[0]);
+        hub.advance(Duration::from_millis(40));
         assert_eq!(hub.session_count(), 1);
 
         // the sensor's next session reopens the address
         let header_b = SessionHeader::new(91, 1, 2000.0, 1.0);
         let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap();
+        hub.send(socket, &tx_b.hello());
         for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
+            hub.send(socket, &f);
         }
-        socket.send(&tx_b.bye()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.send(socket, &tx_b.bye());
+        hub.advance_past_bye_grace();
 
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 2);
@@ -1675,7 +1422,7 @@ mod tests {
             idle_timeout: Some(Duration::from_millis(150)),
             ..HubConfig::default()
         };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
+        let mut hub = VirtualHub::new(config);
         let header = SessionHeader::new(95, 1, 2000.0, 1.0);
         let events = test_events(&header, 40);
         let mut tx = Packetizer::new(header).with_events_per_frame(5);
@@ -1684,22 +1431,17 @@ mod tests {
         let bye = tx.bye();
         assert_eq!(data.len(), 8);
 
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
+        let socket = sensor(1);
+        hub.send(socket, &hello);
         for f in &data {
-            // each gap is well under the timeout (3× margin against CI
-            // scheduler stalls); the whole session spans multiple
-            // timeouts
-            std::thread::sleep(Duration::from_millis(50));
-            socket.send(f).unwrap();
+            // each gap stops 1 ms short of the timeout; the whole
+            // session spans multiple timeouts
+            hub.advance(Duration::from_millis(149));
+            hub.send(socket, f);
         }
-        socket.send(&bye).unwrap();
+        hub.send(socket, &bye);
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        hub.advance_past_bye_grace();
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1, "one session, never split by eviction");
         assert_eq!(sessions[0].report.stats.events_decoded, 40);
@@ -1722,13 +1464,17 @@ mod tests {
 
     #[test]
     fn lost_bye_session_is_flushed_at_shutdown() {
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
+        let mut hub = VirtualHub::new(HubConfig::default());
         let header = SessionHeader::new(77, 1, 2000.0, 1.0);
         let events = test_events(&header, 40);
-        let mut tx = UdpSessionSender::connect(hub.local_addr(), header).unwrap();
-        tx.send_events(&events).unwrap();
-        drop(tx); // never send the BYE
-        std::thread::sleep(Duration::from_millis(50));
+        let mut tx = Packetizer::new(header);
+        let socket = sensor(1);
+        hub.send(socket, &tx.hello());
+        for f in tx.data_frames(&events) {
+            hub.send(socket, &f);
+        }
+        // never send the BYE
+        hub.advance(Duration::from_millis(50));
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1, "in-flight peer flushed at shutdown");
         assert_eq!(sessions[0].report.stats.events_decoded, 40);
@@ -1773,43 +1519,41 @@ mod tests {
             max_sessions: Some(1),
             ..HubConfig::default()
         };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
+        let mut hub = VirtualHub::new(config);
         let header_a = SessionHeader::new(1, 1, 2000.0, 1.0);
         let events = test_events(&header_a, 60);
-        let mut tx_a = UdpSessionSender::connect(hub.local_addr(), header_a).unwrap();
-        tx_a.send_events(&events[..30]).unwrap();
-        // Give the hub time to open peer A before B knocks — UDP has
-        // no handshake, so ordering is only by arrival.
-        std::thread::sleep(Duration::from_millis(30));
+        let mut tx_a = Packetizer::new(header_a);
+        hub.send(sensor(1), &tx_a.hello());
+        for f in tx_a.data_frames(&events[..30]) {
+            hub.send(sensor(1), &f);
+        }
 
         // Peer B is valid traffic, but the hub is full: shed.
         let header_b = SessionHeader::new(2, 1, 2000.0, 1.0);
-        let mut tx_b = UdpSessionSender::connect(hub.local_addr(), header_b).unwrap();
-        tx_b.send_events(&test_events(&header_b, 20)).unwrap();
-        let _ = tx_b.finish().unwrap();
+        let mut tx_b = Packetizer::new(header_b);
+        hub.send(sensor(2), &tx_b.hello());
+        for f in tx_b.data_frames(&test_events(&header_b, 20)) {
+            hub.send(sensor(2), &f);
+        }
+        hub.send(sensor(2), &tx_b.bye());
 
         // Peer A (known) still flows to a clean close.
-        tx_a.send_events(&events[30..]).unwrap();
-        let _ = tx_a.finish().unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        for f in tx_a.data_frames(&events[30..]) {
+            hub.send(sensor(1), &f);
         }
+        hub.send(sensor(1), &tx_a.bye());
+
+        hub.advance_past_bye_grace();
         let health = hub.health();
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1, "only peer A got a session");
         assert_eq!(sessions[0].session_id, 1);
         assert_eq!(sessions[0].report.stats.events_decoded, 60);
         assert!(sessions[0].report.stats.closed);
-        // shed is registry-backed: zeros with metrics off, while the
-        // one-session shutdown above proves the shedding itself.
-        if cfg!(feature = "metrics") {
-            assert!(
-                health.shed >= 1,
-                "peer B's datagrams counted as shed, got {health:?}"
-            );
-        }
+        assert!(
+            health.shed >= 1,
+            "peer B's datagrams counted as shed, got {health:?}"
+        );
     }
 
     #[test]
@@ -1818,36 +1562,26 @@ mod tests {
             malformed_budget: Some(4),
             ..HubConfig::default()
         };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
+        let mut hub = VirtualHub::new(config);
         let header = SessionHeader::new(6, 1, 2000.0, 1.0);
         let mut packetizer = Packetizer::new(header);
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&packetizer.hello()).unwrap();
+        let socket = sensor(1);
+        hub.send(socket, &packetizer.hello());
         // CRC-broken frames from a peer that already holds decoder
         // state: each one burns budget until the peer is quarantined.
         let mut bad = crate::frame::encode_frame(crate::frame::FrameType::DataV2, 1, &[0u8; 16]);
         *bad.last_mut().unwrap() ^= 0xFF;
         for _ in 0..64 {
-            socket.send(&bad).unwrap();
-            std::thread::sleep(Duration::from_micros(200));
+            hub.send(socket, &bad);
+            hub.advance(Duration::from_micros(200));
         }
-        // The quarantined peer's books land in the session count — a
-        // real collection, so this synchronizes with or without the
-        // registry-backed health counters.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        if cfg!(feature = "metrics") {
-            assert_eq!(hub.health().quarantined, 1, "flooding peer quarantined");
-        }
+        assert_eq!(hub.health().quarantined, 1, "flooding peer quarantined");
         // Post-quarantine garbage is filtered as straggler traffic and
         // must not resurrect the address.
         for _ in 0..8 {
-            socket.send(&bad).unwrap();
+            hub.send(socket, &bad);
         }
-        std::thread::sleep(Duration::from_millis(30));
+        hub.advance(Duration::from_millis(30));
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1, "books closed once, no ghost revival");
         // Resync bytes also burn budget, so quarantine can trip right

@@ -92,7 +92,7 @@ fn chaos_session_stats_sum_to_hub_totals_and_health() {
         manual.crc_failures + manual.malformed_frames + manual.orphan_frames
     );
 
-    // The registry counters ARE the health tallies (same atomics), so
+    // Every health tally is published into its registry counter, so
     // the typed view and the exporter view agree bit for bit.
     let reg = table.registry();
     assert_eq!(
